@@ -9,6 +9,7 @@ diagnostics to stderr; --report appends one JSON object per run.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -38,7 +39,7 @@ from .model import (
     occurrence_profile,
     verify_seq_certificate,
 )
-from .sat import brute_force_sat, reduce_3sat_to_seq_zed, reduce_3sat_to_set_zed
+from .sat import CnfFormula, brute_force_sat, reduce_3sat_to_seq_zed, reduce_3sat_to_set_zed
 from .selftest import run_selftest
 from .seq import (
     elcs_exact_oracle,
@@ -89,13 +90,7 @@ def _report_line(args, *, verdict: str, algorithm: str, elapsed_ms: float, witne
             fh.write(line + "\n")
 
 
-def _check_threads(args) -> None:
-    if getattr(args, "threads", 1) < 1:
-        raise ValueError("--threads must be at least 1")
-
-
 def _cmd_solve_seq(args) -> int:
-    _check_threads(args)
     g1 = parse_seq_genome(_read(args.g1))
     g2 = parse_seq_genome(_read(args.g2))
     t0 = time.perf_counter()
@@ -136,7 +131,6 @@ def _cmd_solve_seq(args) -> int:
 
 
 def _cmd_solve_set(args) -> int:
-    _check_threads(args)
     g1 = parse_set_genome(_read(args.g1))
     g2 = parse_set_genome(_read(args.g2))
     t0 = time.perf_counter()
@@ -342,6 +336,12 @@ def _bench_scenarios():
     f2 = SetGenome.of({1}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
     yield "permutation scan k=8", 10.0, lambda: zed_set_fpt(f1, f2, max_k=8)
 
+    # the complete unsatisfiable 3-variable formula (all eight sign patterns)
+    # compiles to a 55-family ordered pair that the exact search must refute
+    phi = CnfFormula.of(3, *itertools.product((1, -1), (2, -2), (3, -3)))
+    u1, u2, _ = reduce_3sat_to_seq_zed(phi)
+    yield "seq reduction complete UNSAT n=3", 5.0, lambda: zed_seq_exact(u1, u2, max_families=55)
+
 
 def _cmd_bench(args) -> int:
     ok = True
@@ -369,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cert-out", help="write the certificate here on YES")
     p.add_argument("--max-families", type=int, default=25, help="cap for the exact search")
     p.add_argument("--report", help="append a JSON report line to this file ('-' for stdout)")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (this build is single-threaded)")
     p.set_defaults(func=_cmd_solve_seq)
 
     p = sub.add_parser("solve-set", help="decide zero exemplar distance for unordered genomes")
@@ -380,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-k", type=int, default=10, help="chromosome cap for the permutation scan")
     p.add_argument("--timeout", type=float, default=120.0, help="wall budget for the exact search (s)")
     p.add_argument("--report")
-    p.add_argument("--threads", type=int, default=1, help="worker cap (this build is single-threaded)")
     p.set_defaults(func=_cmd_solve_set)
 
     p = sub.add_parser("elcs", help="longest common subsequence containing all mandatory symbols")

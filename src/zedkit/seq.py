@@ -8,6 +8,7 @@ instances of the NP-hard general problem.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from typing import Mapping
@@ -28,6 +29,7 @@ from .model import (
     classify_instance,
     occurrence_profile,
 )
+from .search import backjump_search
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,9 @@ def elcs_special(a: SeqGenome, b: SeqGenome, alphabet: Alphabet) -> SeqGenome | 
 
 def zed_seq_special(g1: SeqGenome, g2: SeqGenome) -> SeqDecision:
     """Polynomial decision when every family occurs exactly once in at least
-    one genome: distance zero iff the LCS covers all families."""
+    one genome: distance zero iff the LCS covers all families.  When both
+    genomes are duplicate-free that LCS would have to be all of g1, so the
+    answer is g1 == g2."""
     try:
         cls = classify_instance(g1, g2)
     except FamilyMismatchError:
@@ -189,114 +193,52 @@ def zed_seq_special(g1: SeqGenome, g2: SeqGenome) -> SeqDecision:
         raise PreconditionViolatedError(
             "instance is general: some family occurs at least twice in both genomes"
         )
+    if cls is InstanceClass.BOTH_EXEMPLAR:
+        return SeqDecision(True, g1) if g1.genes == g2.genes else SeqDecision(False)
     cert = lcs(g1, g2)
     if len(cert) == len(g1.families):
         return SeqDecision(True, cert)
     return SeqDecision(False)
 
 
+def _non_crossing(c: tuple[int, int], cands: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    p, q = c
+    return [d for d in cands if (p < d[0]) == (q < d[1])]
+
+
 def zed_seq_exact(g1: SeqGenome, g2: SeqGenome, *, max_families: int = 25) -> SeqDecision:
     """Exact decision for the general (NP-hard) problem at desk scale.
 
-    Dynamic programming over family subsets: a state is the set of families
-    already placed plus the pair of genome positions consumed so far.  Each
-    family is extended through its earliest signed match in both genomes
-    (earlier positions dominate later ones), states are explored depth-first
-    so a certificate is returned as soon as the full subset is reached, and
-    failed states are memoized as Pareto-minimal position pairs per subset.
-    A family with no live occurrence pair prunes its whole subtree.
+    Every family must pick one occurrence pair (p, q) with g1[p] == g2[q],
+    signs included, and the chosen pairs must not cross (p < p' iff q < q');
+    the genes at the chosen positions, read in order, are then a common
+    exemplar subsequence.  Pairs are tried earliest first (by p + q) in the
+    forward-checking backjump search shared with the unordered solver.
     """
     fams = sorted(g1.families | g2.families)
     if len(fams) > max_families:
         raise CapExceededError(f"{len(fams)} families exceeds the cap of {max_families}")
     if g1.families != g2.families:
         return SeqDecision(False)
-    if not fams:
-        return SeqDecision(True, SeqGenome(()))
-
-    present1, present2 = set(g1.genes), set(g2.genes)
-    slot_values: list[int] = []
-    fam_slots: list[list[int]] = []
-    for f in fams:
-        mine = []
-        for v in (f, -f):
-            if v in present1 and v in present2:
-                mine.append(len(slot_values))
-                slot_values.append(v)
-        if not mine:
-            # no signed form of this family occurs in both genomes
-            return SeqDecision(False)
-        fam_slots.append(mine)
-
-    def next_tables(genes: tuple[int, ...]) -> list[list[int]]:
-        n = len(genes)
-        idx = {v: s for s, v in enumerate(slot_values)}
-        nxt = [[-1] * (n + 1) for _ in slot_values]
-        for i in range(n - 1, -1, -1):
-            for row in nxt:
-                row[i] = row[i + 1]
-            s = idx.get(genes[i])
-            if s is not None:
-                nxt[s][i] = i
-        return nxt
-
-    nxt1 = next_tables(g1.genes)
-    nxt2 = next_tables(g2.genes)
-    d = len(fams)
-    full = (1 << d) - 1
-    failed: dict[int, list[tuple[int, int]]] = {}
-    path: list[int] = []
-
-    def dominated(mask: int, i: int, j: int) -> bool:
-        for fi, fj in failed.get(mask, ()):
-            if fi <= i and fj <= j:
-                return True
-        return False
-
-    def record_failure(mask: int, i: int, j: int) -> None:
-        lst = failed.setdefault(mask, [])
-        lst[:] = [(fi, fj) for fi, fj in lst if not (i <= fi and j <= fj)]
-        lst.append((i, j))
-
-    def search(mask: int, i: int, j: int) -> bool:
-        if mask == full:
-            return True
-        if dominated(mask, i, j):
-            return False
-        cands: list[tuple[int, int, int, int, int]] = []
-        for k in range(d):
-            if mask >> k & 1:
-                continue
-            ext: list[tuple[int, int, int]] = []
-            for s in fam_slots[k]:
-                p = nxt1[s][i]
-                q = nxt2[s][j]
-                if p >= 0 and q >= 0:
-                    ext.append((p, q, s))
-            if not ext:
-                record_failure(mask, i, j)
-                return False
-            if len(ext) == 2:
-                # within one family a pointwise-earlier match dominates
-                (p0, q0, _), (p1, q1, _) = ext
-                if p0 <= p1 and q0 <= q1:
-                    ext.pop(1)
-                elif p1 <= p0 and q1 <= q0:
-                    ext.pop(0)
-            for p, q, s in ext:
-                cands.append((p + q, p, q, k, s))
-        cands.sort()
-        for _, p, q, k, s in cands:
-            path.append(slot_values[s])
-            if search(mask | (1 << k), p + 1, q + 1):
-                return True
-            path.pop()
-        record_failure(mask, i, j)
-        return False
-
-    if search(0, 0, 0):
-        return SeqDecision(True, SeqGenome(tuple(path)))
-    return SeqDecision(False)
+    at1: dict[int, list[int]] = {}
+    at2: dict[int, list[int]] = {}
+    for p, v in enumerate(g1.genes):
+        at1.setdefault(v, []).append(p)
+    for q, v in enumerate(g2.genes):
+        at2.setdefault(v, []).append(q)
+    domains = [
+        sorted(
+            [(p, q) for v in (f, -f) for p in at1.get(v, ()) for q in at2.get(v, ())],
+            key=sum,
+        )
+        for f in fams
+    ]
+    # every two families constrain each other, so all degrees tie
+    degree = [len(fams) - 1] * len(fams)
+    chosen = backjump_search(domains, degree, _non_crossing, math.inf)
+    if chosen is None:
+        return SeqDecision(False)
+    return SeqDecision(True, SeqGenome(tuple(g1.genes[p] for p, _ in sorted(chosen))))
 
 
 def elcs_exact_oracle(

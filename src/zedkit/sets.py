@@ -5,14 +5,12 @@ blocks embed injectively, by containment, into the chromosomes of each input.
 The special case where every family occurs exactly once in at least one genome
 reduces to maximum-weight bipartite matching on chromosome intersections; the
 general case is handled by a permutation scan (fixed-parameter in the
-chromosome count) and by an exact backtracking search.
+chromosome count) and by the exact backjump search shared with ordered genomes.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +20,6 @@ from .errors import (
     CapExceededError,
     FamilyMismatchError,
     PreconditionViolatedError,
-    SearchTimeoutError,
 )
 from .model import (
     NO_EMBEDDING_IN_G1,
@@ -33,6 +30,7 @@ from .model import (
     SetGenome,
     classify_instance,
 )
+from .search import backjump_search
 
 
 @dataclass(frozen=True)
@@ -177,6 +175,11 @@ def zed_set_fpt(g1: SetGenome, g2: SetGenome, *, max_k: int = 10) -> SetDecision
     return SetDecision(False)
 
 
+def _disjoint_pairs(c: tuple[int, int], cands: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    i, j = c
+    return [d for d in cands if (i == d[0]) == (j == d[1])]
+
+
 def zed_set_exact(
     g1: SetGenome,
     g2: SetGenome,
@@ -184,13 +187,13 @@ def zed_set_exact(
     timeout_s: float = 120.0,
     max_candidates_per_gene: int = 64,
 ) -> SetDecision:
-    """Exact decision by backtracking over genes.
+    """Exact decision by search over genes.
 
     Every gene must pick a covering chromosome pair (i, j) with the gene in
     both chromosomes, and the distinct chosen pairs must form a matching (no
-    chromosome index shared between different pairs).  Genes are assigned
-    fewest-live-candidates first; an unassigned gene left with no consistent
-    pair prunes the branch.  Raises SearchTimeoutError when the wall budget
+    chromosome index shared between different pairs).  Solved by the
+    forward-checking backjump search shared with the ordered solver, trying
+    pairs in (i, j) order.  Raises SearchTimeoutError when the wall budget
     runs out, which is reported distinctly from a NO answer.
     """
     if g1.ground_set != g2.ground_set:
@@ -217,87 +220,13 @@ def zed_set_exact(
         for g in chrom:
             degree[g] += len(chrom) - 1
 
-    deadline = time.monotonic() + timeout_s
-    row: dict[int, int] = {}
-    col: dict[int, int] = {}
-    assign: dict[int, tuple[int, int]] = {}
-    row_owner: dict[int, int] = {}
-    col_owner: dict[int, int] = {}
-    # undo trail: ('r', i) / ('c', j) / ('a', g)
-    trail: list[tuple[str, int]] = []
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * len(genes) + 100))
-
-    def bind(g: int, i: int, j: int) -> None:
-        if i not in row:
-            row[i] = j
-            row_owner[i] = g
-            trail.append(("r", i))
-        if j not in col:
-            col[j] = i
-            col_owner[j] = g
-            trail.append(("c", j))
-        assign[g] = (i, j)
-        trail.append(("a", g))
-
-    def unwind(mark: int) -> None:
-        while len(trail) > mark:
-            kind, key = trail.pop()
-            if kind == "r":
-                del row[key]
-                del row_owner[key]
-            elif kind == "c":
-                del col[key]
-                del col_owner[key]
-            else:
-                del assign[key]
-
-    def killer(i: int, j: int) -> int:
-        """An assigned gene whose binding keeps candidate (i, j) dead."""
-        if row.get(i, j) != j:
-            return row_owner[i]
-        return col_owner[j]
-
-    def solve(pending: list[int]):
-        """True on success (bindings left in place); otherwise a conflict set
-        of assigned genes under which the failure persists, used to jump over
-        choices the failure does not depend on."""
-        if time.monotonic() > deadline:
-            raise SearchTimeoutError(f"exceeded the {timeout_s:.0f}s budget")
-        if not pending:
-            return True
-        pick, pick_live, pick_key = None, None, None
-        for g in pending:
-            lv = [
-                (i, j)
-                for i, j in cands[g]
-                if row.get(i, j) == j and col.get(j, i) == i
-            ]
-            if not lv:
-                return {killer(i, j) for i, j in cands[g]}
-            key = (len(lv), -degree[g], g)
-            if pick is None or key < pick_key:
-                pick, pick_live, pick_key = g, lv, key
-        live = set(pick_live)
-        conflict = {killer(i, j) for i, j in cands[pick] if (i, j) not in live}
-        rest = [g for g in pending if g != pick]
-        for i, j in pick_live:
-            mark = len(trail)
-            bind(pick, i, j)
-            sub = solve(rest)
-            if sub is True:
-                return True
-            unwind(mark)
-            if pick not in sub:
-                # the failure does not involve this gene's binding
-                return sub
-            conflict |= sub
-        conflict.discard(pick)
-        return conflict
-
-    if solve(genes) is not True:
+    chosen = backjump_search(
+        [cands[g] for g in genes], [degree[g] for g in genes], _disjoint_pairs, timeout_s
+    )
+    if chosen is None:
         return SetDecision(False)
     groups: dict[tuple[int, int], set[int]] = {}
-    for g, p in assign.items():
+    for g, p in zip(genes, chosen):
         groups.setdefault(p, set()).add(g)
     pairs = sorted(groups)
     cert = SetGenome(tuple(frozenset(groups[p]) for p in pairs))

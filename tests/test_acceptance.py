@@ -161,8 +161,25 @@ def test_criterion_05_sequence_biconditional():
                 sigma = assignment_from_seq_certificate(phi, dec.certificate)
                 assert eval_assignment(phi, sigma)
         assert 0 < n_yes < len(cases)  # both outcomes exercised
+        # the unsatisfiable complete formula (55 families) must answer NO within its budget
+        assert brute_force_sat(COMPLETE_UNSAT_N3) is None
+        g1, g2, _ = reduce_3sat_to_seq_zed(COMPLETE_UNSAT_N3)
+        with stopwatch() as hard:
+            assert not zed_seq_exact(g1, g2, max_families=55).answer
+        assert hard.elapsed < 1.0
+        # 30-clause formulas compile to 187-family pairs
+        with stopwatch() as big:
+            for seed in range(5):
+                phi = random_cnf(seed, 3, 30)
+                g1, g2, _ = reduce_3sat_to_seq_zed(phi)
+                dec = zed_seq_exact(g1, g2, max_families=len(g1.families))
+                assert dec.answer == (brute_force_sat(phi) is not None)
+                if dec.answer:
+                    assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
+        assert big.elapsed < 5.0
     assert sw.elapsed < 60.0
-    report(5, f"202 formulas: satisfiable iff the compiled sequence pair answers YES ({sw.elapsed:.1f}s)")
+    report(5, f"202 formulas + complete unsatisfiable + five 30-clause sequence reductions agree with "
+              f"the oracle ({sw.elapsed:.1f}s, hard case {hard.elapsed:.3f}s, 30-clause {big.elapsed:.2f}s)")
 
 
 def test_criterion_06_set_biconditional():

@@ -281,8 +281,3 @@ def test_usage_errors(tmp_path, seq_files):
 
 def test_solve_set_timeout_exit_code(set_files):
     assert main(["solve-set", *set_files, "--mode", "exact", "--timeout", "-1"]) == 4
-
-
-def test_threads_flag_must_be_positive(seq_files):
-    assert main(["solve-seq", *seq_files, "--threads", "0"]) == 2
-    assert main(["solve-seq", *seq_files, "--threads", "2"]) == 0

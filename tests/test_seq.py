@@ -208,9 +208,14 @@ def test_elcs_special_agrees_with_oracle_and_enumeration(seed):
 def test_zed_seq_special_cases():
     dec = zed_seq_special(SeqGenome.of(1, 1, 2), SeqGenome.of(1, 2, 2))
     assert dec.answer and dec.certificate == SeqGenome.of(1, 2)
+    # both-exemplar pairs: equal, permuted, sign-flipped
     g = SeqGenome.of(2, -1, 3)
-    assert zed_seq_special(g, g).answer
+    dec = zed_seq_special(g, g)
+    assert dec.answer and dec.certificate == g
     assert not zed_seq_special(SeqGenome.of(1, 2), SeqGenome.of(2, 1)).answer
+    assert not zed_seq_special(g, SeqGenome.of(-1, 2, 3)).answer
+    assert not zed_seq_special(g, SeqGenome.of(2, 1, 3)).answer
+    assert not zed_seq_special(g, SeqGenome.of(-2, 1, -3)).answer
 
 
 def test_zed_seq_special_family_mismatch_is_no():
