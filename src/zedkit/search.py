@@ -1,10 +1,5 @@
-"""The search kernel behind both exact solvers.
-
-Each solver restates its problem as a binary constraint problem: every item
-picks one candidate from its domain, and every two chosen candidates must be
-compatible.  The solver supplies the domains and the compatibility filter;
-this module owns the search.
-"""
+"""The forward-checking backjump search that both exact solvers run on
+their own domains and compatibility filters."""
 
 from __future__ import annotations
 
@@ -15,20 +10,19 @@ from typing import Callable, Sequence, TypeVar
 from .errors import SearchTimeoutError
 
 C = TypeVar("C")
+D = TypeVar("D")
 
 
 def backjump_search(
-    domains: Sequence[Sequence[C]],
-    degree: Sequence[int],
-    keep: Callable[[C, list[C]], list[C]],
-    timeout_s: float,
+    domains: Sequence[D], degree: Sequence[int], keep: Callable[[C, D], D], timeout_s: float
 ) -> list[C] | None:
     """One candidate per item, pairwise compatible, or None when none exists.
 
-    Items are the indices of domains; item x tries its candidates in the
-    order domains[x] lists them.
-    keep(chosen, candidates) returns, in order, the candidates compatible with
-    a candidate chosen for another item; compatibility must be symmetric.
+    Items are the indices of domains.  A domain is any object with len() that
+    iterates its candidates in the order to try them; the kernel never changes
+    one.  keep(chosen, live) returns a domain of the same kind with the
+    candidates of live compatible with chosen, a candidate of another item;
+    compatibility must be symmetric.
 
     Forward checking with conflict-directed backjumping (Prosser 1993,
     "Hybrid algorithms for the constraint satisfaction problem"): the next
@@ -37,18 +31,16 @@ def backjump_search(
     once).  Binding it filters every pending item's live candidates through
     keep and records the binding as a pruner of each domain it shrank.  A
     domain wiped out returns its pruners as the conflict set, and a failed
-    subtree whose conflict set misses the current item is jumped over.
-    Raises SearchTimeoutError once timeout_s seconds have passed, which is
-    distinct from a NO answer.
+    subtree whose conflict set misses the current item is jumped over.  Raises
+    SearchTimeoutError (not a NO answer) once timeout_s seconds have passed.
     """
     n = len(domains)
-    if not all(domains):
-        return None
     deadline = time.monotonic() + timeout_s
-    live = [list(d) for d in domains]
+    live = list(domains)
+    sizes = [len(d) for d in domains]
     pruners: list[list[int]] = [[] for _ in range(n)]
-    # undo trail: (item, its live candidates before a binding shrank them)
-    trail: list[tuple[int, list[C]]] = []
+    # undo trail: (item, its live candidates and their count before a shrink)
+    trail: list[tuple[int, D, int]] = []
     chosen: list = [None] * n
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 2 * n + 100))
 
@@ -61,7 +53,7 @@ def backjump_search(
             return True
         pick = best = None
         for y in pending:
-            size = len(live[y])
+            size = sizes[y]
             if size == 1:
                 pick = y
                 break
@@ -75,13 +67,14 @@ def backjump_search(
             chosen[pick] = c
             sub = None
             for y in rest:
-                before = live[y]
-                after = keep(c, before)
-                if len(after) < len(before):
-                    trail.append((y, before))
+                after = keep(c, live[y])
+                size = len(after)
+                if size < sizes[y]:
+                    trail.append((y, live[y], sizes[y]))
                     live[y] = after
+                    sizes[y] = size
                     pruners[y].append(pick)
-                    if not after:
+                    if not size:
                         sub = set(pruners[y])
                         break
             if sub is None:
@@ -89,8 +82,7 @@ def backjump_search(
                 if sub is True:
                     return True
             while len(trail) > mark:
-                y, before = trail.pop()
-                live[y] = before
+                y, live[y], sizes[y] = trail.pop()
                 pruners[y].pop()
             if pick not in sub:
                 # the failure does not involve this item's binding

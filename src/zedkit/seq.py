@@ -8,8 +8,10 @@ instances of the NP-hard general problem.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -201,9 +203,49 @@ def zed_seq_special(g1: SeqGenome, g2: SeqGenome) -> SeqDecision:
     return SeqDecision(False)
 
 
-def _non_crossing(c: tuple[int, int], cands: list[tuple[int, int]]) -> list[tuple[int, int]]:
+class _LivePairs:
+    """The live occurrence pairs of one family, never listed one by one: each
+    cell (a, lo1, hi1, b, lo2, hi2) holds every p in a[lo1:hi1] with every q
+    in b[lo2:hi2], a and b being the sorted positions of one signed form of
+    the family in g1 and g2.  Memory is linear in the copy counts."""
+
+    def __init__(self, cells: list[tuple]):
+        self.cells = cells
+        self.size = sum((hi1 - lo1) * (hi2 - lo2) for _, lo1, hi1, _, lo2, hi2 in cells)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self):
+        """Smallest p + q first, from a heap with one entry per g1 position."""
+        heap = [(p + b[lo2], p, lo2, b, hi2) for a, lo1, hi1, b, lo2, hi2 in self.cells
+                for p in a[lo1:hi1]]
+        heapq.heapify(heap)
+        while heap:
+            s, p, j, b, hi2 = heap[0]
+            yield p, s - p
+            if j + 1 < hi2:
+                heapq.heapreplace(heap, (p + b[j + 1], p, j + 1, b, hi2))
+            else:
+                heapq.heappop(heap)
+
+
+def _non_crossing(c: tuple[int, int], live: _LivePairs) -> _LivePairs:
+    """The pairs of live both before c or both after it.  Positions p and q
+    hold another family, so bisection splits each cell cleanly."""
     p, q = c
-    return [d for d in cands if (p < d[0]) == (q < d[1])]
+    for a, lo1, hi1, b, lo2, hi2 in live.cells:
+        if not (a[hi1 - 1] < p and b[hi2 - 1] < q or a[lo1] > p and b[lo2] > q):
+            break
+    else:
+        return live  # every cell lies wholly before or wholly after c
+    cells = []
+    for a, lo1, hi1, b, lo2, hi2 in live.cells:
+        m1, m2 = bisect_left(a, p, lo1, hi1), bisect_left(b, q, lo2, hi2)
+        for cell in (a, lo1, m1, b, lo2, m2), (a, m1, hi1, b, m2, hi2):
+            if cell[1] < cell[2] and cell[4] < cell[5]:
+                cells.append(cell)
+    return _LivePairs(cells)
 
 
 def zed_seq_exact(g1: SeqGenome, g2: SeqGenome, *, max_families: int = 25) -> SeqDecision:
@@ -220,19 +262,17 @@ def zed_seq_exact(g1: SeqGenome, g2: SeqGenome, *, max_families: int = 25) -> Se
         raise CapExceededError(f"{len(fams)} families exceeds the cap of {max_families}")
     if g1.families != g2.families:
         return SeqDecision(False)
-    at1: dict[int, list[int]] = {}
-    at2: dict[int, list[int]] = {}
-    for p, v in enumerate(g1.genes):
-        at1.setdefault(v, []).append(p)
-    for q, v in enumerate(g2.genes):
-        at2.setdefault(v, []).append(q)
-    domains = [
-        sorted(
-            [(p, q) for v in (f, -f) for p in at1.get(v, ()) for q in at2.get(v, ())],
-            key=sum,
-        )
-        for f in fams
-    ]
+    at1, at2 = {}, {}  # signed gene -> its positions in g1, g2
+    for at, g in (at1, g1), (at2, g2):
+        for p, v in enumerate(g.genes):
+            at.setdefault(v, []).append(p)
+    domains = []
+    for f in fams:
+        cells = [(at1[v], 0, len(at1[v]), at2[v], 0, len(at2[v]))
+                 for v in (f, -f) if v in at1 and v in at2]
+        if not cells:
+            return SeqDecision(False)  # no signed form of f is in both genomes
+        domains.append(_LivePairs(cells))
     # every two families constrain each other, so all degrees tie
     degree = [len(fams) - 1] * len(fams)
     chosen = backjump_search(domains, degree, _non_crossing, math.inf)

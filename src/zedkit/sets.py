@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import (
-    CapExceededError,
-    FamilyMismatchError,
-    PreconditionViolatedError,
-)
+from .errors import CapExceededError, FamilyMismatchError, PreconditionViolatedError
 from .model import (
     NO_EMBEDDING_IN_G1,
     NO_EMBEDDING_IN_G2,

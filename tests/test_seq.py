@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -256,6 +258,18 @@ def test_zed_seq_exact_clause_gadget_is_infeasible():
 def test_zed_seq_exact_cap():
     with pytest.raises(CapExceededError):
         zed_seq_exact(SeqGenome.of(1, 2, 3, 4), SeqGenome.of(1, 2, 3, 4), max_families=3)
+
+
+def test_zed_seq_exact_repetitive_families():
+    """Families with up to a thousand copies per genome: the search must not
+    list the millions of occurrence pairs each such family has."""
+    t0 = time.perf_counter()
+    for seed in range(3):
+        g1, g2 = random_seq_pair(seed, 25, max_occ=1000, signed=False)
+        dec = zed_seq_exact(g1, g2)
+        assert dec.answer
+        assert verify_seq_certificate(g1, g2, dec.certificate).ok
+    assert time.perf_counter() - t0 < 5.0
 
 
 @pytest.mark.parametrize("seed", range(80))
