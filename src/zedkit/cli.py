@@ -15,13 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from .errors import (
-    CapExceededError,
-    FamilyMismatchError,
-    ParseError,
-    PreconditionViolatedError,
-    SearchTimeoutError,
-)
+from .errors import CapExceededError, ParseError, PreconditionViolatedError, SearchTimeoutError
 from .formats import (
     emit_dimacs3,
     emit_name_table,
@@ -32,29 +26,11 @@ from .formats import (
     parse_set_genome,
 )
 from .generate import random_cnf, random_seq_pair, random_set_pair
-from .model import (
-    Alphabet,
-    InstanceClass,
-    classify_instance,
-    occurrence_profile,
-    verify_seq_certificate,
-)
+from .model import Alphabet, verify_seq_certificate
 from .sat import CnfFormula, brute_force_sat, reduce_3sat_to_seq_zed, reduce_3sat_to_set_zed
 from .selftest import run_selftest
-from .seq import (
-    elcs_exact_oracle,
-    elcs_special,
-    lcs,
-    zed_one_side_duplicate_free,
-    zed_seq_exact,
-    zed_seq_special,
-)
-from .sets import (
-    verify_set_certificate,
-    zed_set_exact,
-    zed_set_fpt,
-    zed_set_matching,
-)
+from .seq import elcs_exact_oracle, elcs_special, lcs, solve_seq, zed_seq_exact
+from .sets import solve_set, verify_set_certificate, zed_set_fpt, zed_set_matching
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -90,90 +66,48 @@ def _report_line(args, *, verdict: str, algorithm: str, elapsed_ms: float, witne
             fh.write(line + "\n")
 
 
+def _finish_solve(args, route, dec, elapsed_ms, emit, witness_of) -> int:
+    """Print the verdict, write the certificate and the report line; on YES,
+    witness_of(dec) prints any witness line and returns the report's witness."""
+    verdict = "YES" if dec.answer else "NO"
+    print(f"{verdict} {route}")
+    witness = None
+    if dec.answer:
+        witness = witness_of(dec)
+        if args.cert_out:
+            _write(args.cert_out, emit(dec.certificate))
+    _report_line(args, verdict=verdict, algorithm=route, elapsed_ms=elapsed_ms, witness=witness)
+    return EXIT_YES if dec.answer else EXIT_NO
+
+
 def _cmd_solve_seq(args) -> int:
     g1 = parse_seq_genome(_read(args.g1))
     g2 = parse_seq_genome(_read(args.g2))
     t0 = time.perf_counter()
-    algorithm = args.mode
-    if args.mode == "auto":
-        try:
-            cls = classify_instance(g1, g2)
-        except FamilyMismatchError:
-            cls = None
-        if cls is None:
-            algorithm, dec = "family-mismatch", None
-        elif cls is InstanceClass.BOTH_EXEMPLAR:
-            algorithm, dec = "equality", zed_seq_special(g1, g2)
-        elif cls is InstanceClass.ONE_SIDE_DUPLICATE_FREE:
-            exemplar, other = (g1, g2) if all(
-                c == 1 for c in occurrence_profile(g1).values()
-            ) else (g2, g1)
-            algorithm, dec = "subsequence", zed_one_side_duplicate_free(exemplar, other)
-        elif cls is InstanceClass.PER_GENE_SPECIAL:
-            algorithm, dec = "special", zed_seq_special(g1, g2)
-        else:
-            algorithm, dec = "exact", zed_seq_exact(g1, g2, max_families=args.max_families)
-    elif args.mode == "special":
-        dec = zed_seq_special(g1, g2)
-    else:
-        dec = zed_seq_exact(g1, g2, max_families=args.max_families)
+    route, dec = solve_seq(g1, g2, mode=args.mode, max_families=args.max_families)
     elapsed = (time.perf_counter() - t0) * 1000
-    answer = bool(dec and dec.answer)
-    verdict = "YES" if answer else "NO"
-    print(f"{verdict} {algorithm}")
-    witness = None
-    if answer:
-        witness = " ".join(str(g) for g in dec.certificate.genes)
-        if args.cert_out:
-            _write(args.cert_out, emit_seq_genome(dec.certificate))
-    _report_line(args, verdict=verdict, algorithm=algorithm, elapsed_ms=elapsed, witness=witness)
-    return EXIT_YES if answer else EXIT_NO
+    return _finish_solve(args, route, dec, elapsed, emit_seq_genome,
+                         lambda d: " ".join(str(g) for g in d.certificate.genes))
+
+
+def _set_witness(dec) -> list:
+    if dec.witness_permutation is not None:
+        witness = [p + 1 for p in dec.witness_permutation]
+        print("witness permutation:", " ".join(str(p) for p in witness))
+        return witness
+    witness = sorted([i + 1, j + 1] for i, j in dec.witness_matching.pairs)
+    pairs = " ".join(f"{i}-{j}" for i, j in witness)
+    print(f"witness matching: {pairs} (weight {dec.witness_matching.total_weight})")
+    return witness
 
 
 def _cmd_solve_set(args) -> int:
     g1 = parse_set_genome(_read(args.g1))
     g2 = parse_set_genome(_read(args.g2))
     t0 = time.perf_counter()
-    algorithm = args.mode
-    if args.mode == "auto":
-        try:
-            cls = classify_instance(g1, g2)
-        except FamilyMismatchError:
-            cls = None
-        if cls is None:
-            algorithm, dec = "family-mismatch", None
-        elif cls is not InstanceClass.GENERAL:
-            algorithm, dec = "matching", zed_set_matching(g1, g2)
-        elif max(len(g1.chromosomes), len(g2.chromosomes)) <= args.max_k:
-            algorithm, dec = "fpt", zed_set_fpt(g1, g2, max_k=args.max_k)
-        else:
-            algorithm, dec = "exact", zed_set_exact(g1, g2, timeout_s=args.timeout)
-    elif args.mode == "matching":
-        dec = zed_set_matching(g1, g2)
-    elif args.mode == "fpt":
-        dec = zed_set_fpt(g1, g2, max_k=args.max_k)
-    else:
-        dec = zed_set_exact(g1, g2, timeout_s=args.timeout)
+    route, dec = solve_set(g1, g2, mode=args.mode, max_k=args.max_k, timeout_s=args.timeout)
     elapsed = (time.perf_counter() - t0) * 1000
-    answer = bool(dec and dec.answer)
-    verdict = "YES" if answer else "NO"
-    print(f"{verdict} {algorithm}")
-    witness = None
-    if answer:
-        if dec.witness_permutation is not None:
-            witness = [p + 1 for p in dec.witness_permutation]
-            print("witness permutation:", " ".join(str(p) for p in witness))
-        elif dec.witness_matching is not None:
-            witness = sorted([i + 1, j + 1] for i, j in dec.witness_matching.pairs)
-            print(
-                "witness matching:",
-                " ".join(f"{i}-{j}" for i, j in witness),
-                f"(weight {dec.witness_matching.total_weight})",
-            )
-        if args.cert_out:
-            _write(args.cert_out, emit_set_genome(dec.certificate))
-    _report_line(args, verdict=verdict, algorithm=algorithm, elapsed_ms=elapsed, witness=witness)
-    return EXIT_YES if answer else EXIT_NO
+    return _finish_solve(args, route, dec, elapsed, emit_set_genome, _set_witness)
 
 
 def _cmd_elcs(args) -> int:
@@ -455,9 +389,6 @@ def main(argv=None) -> int:
     except (CapExceededError, SearchTimeoutError) as exc:
         print(f"limit exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except FamilyMismatchError as exc:
-        print(f"family mismatch: {exc}", file=sys.stderr)
-        return EXIT_NO
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

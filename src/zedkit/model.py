@@ -123,9 +123,6 @@ class Alphabet:
 
 Genome = Union[SeqGenome, SetGenome]
 
-# Occurrence counts per family; Counter is the profile type.
-OccurrenceProfile = Counter
-
 
 class InstanceClass(Enum):
     """Mutually exclusive instance categories, most restrictive first."""

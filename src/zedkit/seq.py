@@ -184,9 +184,10 @@ def elcs_special(a: SeqGenome, b: SeqGenome, alphabet: Alphabet) -> SeqGenome | 
 
 def zed_seq_special(g1: SeqGenome, g2: SeqGenome) -> SeqDecision:
     """Polynomial decision when every family occurs exactly once in at least
-    one genome: distance zero iff the LCS covers all families.  When both
-    genomes are duplicate-free that LCS would have to be all of g1, so the
-    answer is g1 == g2."""
+    one genome: distance zero iff the LCS covers all families.  When one
+    genome is duplicate-free that LCS would have to be all of it, so the
+    answer is g1 == g2 if both are, and otherwise whether the duplicate-free
+    side embeds into the other."""
     try:
         cls = classify_instance(g1, g2)
     except FamilyMismatchError:
@@ -197,6 +198,10 @@ def zed_seq_special(g1: SeqGenome, g2: SeqGenome) -> SeqDecision:
         )
     if cls is InstanceClass.BOTH_EXEMPLAR:
         return SeqDecision(True, g1) if g1.genes == g2.genes else SeqDecision(False)
+    if cls is InstanceClass.ONE_SIDE_DUPLICATE_FREE:
+        if len(g1) == len(g1.families):
+            return zed_one_side_duplicate_free(g1, g2)
+        return zed_one_side_duplicate_free(g2, g1)
     cert = lcs(g1, g2)
     if len(cert) == len(g1.families):
         return SeqDecision(True, cert)
@@ -279,6 +284,37 @@ def zed_seq_exact(g1: SeqGenome, g2: SeqGenome, *, max_families: int = 25) -> Se
     if chosen is None:
         return SeqDecision(False)
     return SeqDecision(True, SeqGenome(tuple(g1.genes[p] for p, _ in sorted(chosen))))
+
+
+_SEQ_ROUTES = {
+    InstanceClass.BOTH_EXEMPLAR: "equality",
+    InstanceClass.ONE_SIDE_DUPLICATE_FREE: "subsequence",
+    InstanceClass.PER_GENE_SPECIAL: "special",
+    InstanceClass.GENERAL: "exact",
+}
+
+
+def solve_seq(
+    g1: SeqGenome, g2: SeqGenome, *, mode: str = "auto", max_families: int = 25
+) -> tuple[str, SeqDecision]:
+    """Decide zero exemplar distance and name the route taken.
+
+    Mode "special" runs zed_seq_special and "exact" runs zed_seq_exact.  Mode
+    "auto" answers a family mismatch NO ("family-mismatch"), sends the special
+    classes to zed_seq_special ("equality", "subsequence", "special") and a
+    general pair to the exact search ("exact").
+    """
+    if mode not in ("auto", "special", "exact"):
+        raise ValueError(f"unknown mode {mode!r} (expected auto, special or exact)")
+    route = mode
+    if mode == "auto":
+        try:
+            route = _SEQ_ROUTES[classify_instance(g1, g2)]
+        except FamilyMismatchError:
+            return "family-mismatch", SeqDecision(False)
+    if route == "exact":
+        return route, zed_seq_exact(g1, g2, max_families=max_families)
+    return route, zed_seq_special(g1, g2)
 
 
 def elcs_exact_oracle(

@@ -181,7 +181,7 @@ def zed_set_exact(
     g2: SetGenome,
     *,
     timeout_s: float = 120.0,
-    max_candidates_per_gene: int = 64,
+    max_candidates_per_gene: int = 100,
 ) -> SetDecision:
     """Exact decision by search over genes.
 
@@ -190,13 +190,13 @@ def zed_set_exact(
     chromosome index shared between different pairs).  Solved by the
     forward-checking backjump search shared with the ordered solver, trying
     pairs in (i, j) order.  Raises SearchTimeoutError when the wall budget
-    runs out, which is reported distinctly from a NO answer.
+    runs out, which is reported distinctly from a NO answer, and
+    CapExceededError when a gene has more covering pairs than the cap; the
+    default of 100 admits every pair of genomes with up to 10 chromosomes.
     """
     if g1.ground_set != g2.ground_set:
         return SetDecision(False)
     genes = sorted(g1.ground_set)
-    if not genes:
-        return SetDecision(True, SetGenome(()))
     cands: dict[int, list[tuple[int, int]]] = {g: [] for g in genes}
     for i, a in enumerate(g1.chromosomes):
         for j, b in enumerate(g2.chromosomes):
@@ -230,6 +230,33 @@ def zed_set_exact(
     return SetDecision(
         True, cert, witness_matching=Matching(frozenset(pairs), total)
     )
+
+
+def solve_set(
+    g1: SetGenome, g2: SetGenome, *, mode: str = "auto", max_k: int = 10, timeout_s: float = 120.0
+) -> tuple[str, SetDecision]:
+    """Decide zero exemplar distance and name the route taken.
+
+    Modes "matching", "fpt" and "exact" run zed_set_matching, zed_set_fpt
+    (at most max_k chromosomes) and zed_set_exact (timeout_s seconds).  Mode
+    "auto" answers a family mismatch NO ("family-mismatch"), sends the special
+    classes to the matching and a general pair to the exact search; the
+    permutation scan runs only when asked for.
+    """
+    if mode not in ("auto", "matching", "fpt", "exact"):
+        raise ValueError(f"unknown mode {mode!r} (expected auto, matching, fpt or exact)")
+    route = mode
+    if mode == "auto":
+        try:
+            general = classify_instance(g1, g2) is InstanceClass.GENERAL
+        except FamilyMismatchError:
+            return "family-mismatch", SetDecision(False)
+        route = "exact" if general else "matching"
+    if route == "matching":
+        return route, zed_set_matching(g1, g2)
+    if route == "fpt":
+        return route, zed_set_fpt(g1, g2, max_k=max_k)
+    return route, zed_set_exact(g1, g2, timeout_s=timeout_s)
 
 
 def _embeds_injectively(

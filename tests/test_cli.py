@@ -90,9 +90,26 @@ def test_solve_set_worked_example(set_files, tmp_path, capsys):
     cert = tmp_path / "cert.set"
     assert main(["solve-set", *set_files, "--cert-out", str(cert)]) == 0
     out = capsys.readouterr().out
+    assert out.startswith("YES exact")
+    assert "witness matching:" in out
+    assert main(["verify", "--variant", "set", *set_files, str(cert)]) == 0
+    capsys.readouterr()
+    assert main(["solve-set", *set_files, "--mode", "fpt", "--cert-out", str(cert)]) == 0
+    out = capsys.readouterr().out
     assert out.startswith("YES fpt")
     assert "witness permutation:" in out
     assert main(["verify", "--variant", "set", *set_files, str(cert)]) == 0
+
+
+def test_solve_set_gene_in_every_chromosome(tmp_path, capsys):
+    # gene 1 has 10 x 10 covering pairs; only the reversed pairing covers the
+    # rest, the last of the 10! pairings in scan order
+    a = tmp_path / "a.set"
+    b = tmp_path / "b.set"
+    a.write_text("".join(f"1 {g}\n" for g in range(2, 12)))
+    b.write_text("".join(f"1 {g}\n" for g in range(11, 1, -1)))
+    assert main(["solve-set", str(a), str(b)]) == 0
+    assert capsys.readouterr().out.startswith("YES exact")
 
 
 def test_solve_set_matching_route(tmp_path, capsys):

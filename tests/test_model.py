@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from worked_examples import SEQ_CERT, SEQ_G1, SEQ_G2
+from worked_examples import SEQ_CERT, SEQ_G1, SEQ_G2, SET_G1, SET_G2
 from zedkit import (
     FamilyMismatchError,
     InstanceClass,
@@ -10,6 +10,8 @@ from zedkit import (
     SetGenome,
     classify_instance,
     occurrence_profile,
+    solve_seq,
+    solve_set,
     verify_seq_certificate,
 )
 from zedkit.model import (
@@ -96,6 +98,41 @@ def test_classify_set_genomes():
 def test_classify_family_mismatch():
     with pytest.raises(FamilyMismatchError):
         classify_instance(SeqGenome.of(1, 2), SeqGenome.of(1, 3))
+
+
+@pytest.mark.parametrize(
+    "solve, g1, g2, mode, route, answer",
+    [
+        (solve_seq, SeqGenome.of(1, 2), SeqGenome.of(1, 3), "auto", "family-mismatch", False),
+        (solve_seq, SeqGenome.of(1, 2), SeqGenome.of(2, 1), "auto", "equality", False),
+        (solve_seq, SeqGenome.of(1, 2, 3), SeqGenome.of(2, 1, 2, 3), "auto", "subsequence", True),
+        (solve_seq, SeqGenome.of(1, 1, 2), SeqGenome.of(1, 2, 2), "auto", "special", True),
+        (solve_seq, SEQ_G1, SEQ_G2, "auto", "exact", True),
+        (solve_seq, SeqGenome.of(1, 2), SeqGenome.of(2, 1), "special", "special", False),
+        (solve_seq, SeqGenome.of(1, 2), SeqGenome.of(1, 2), "exact", "exact", True),
+        (solve_set, SetGenome.of({1}), SetGenome.of({2}), "auto", "family-mismatch", False),
+        (solve_set, SetGenome.of({1, 2}, {3}), SetGenome.of({3}, {1, 2}), "auto", "matching", True),
+        (solve_set, SetGenome.of({1, 2}, {3}), SetGenome.of({1, 2, 3}, {3, 1}), "auto", "matching",
+         True),
+        (solve_set, SetGenome.of({1, 2}, {1, 3}), SetGenome.of({1, 2}, {2, 3}), "auto", "matching",
+         True),
+        (solve_set, SET_G1, SET_G2, "auto", "exact", True),
+        (solve_set, SetGenome.of({1, 2, 3}, {1}), SetGenome.of({1, 2}, {1, 3}), "auto", "exact",
+         False),
+        (solve_set, SET_G1, SET_G2, "fpt", "fpt", True),
+        (solve_set, SET_G1, SET_G2, "exact", "exact", True),
+    ],
+)
+def test_router_route_per_class(solve, g1, g2, mode, route, answer):
+    got, dec = solve(g1, g2, mode=mode)
+    assert (got, dec.answer) == (route, answer)
+
+
+def test_router_rejects_unknown_mode():
+    with pytest.raises(ValueError):
+        solve_seq(SEQ_G1, SEQ_G2, mode="fpt")
+    with pytest.raises(ValueError):
+        solve_set(SET_G1, SET_G2, mode="special")
 
 
 @given(seq_genomes, seq_genomes)

@@ -19,6 +19,7 @@ from zedkit import (
     CapExceededError,
     MissingWeightError,
     PreconditionViolatedError,
+    SeqDecision,
     SeqGenome,
     WeightAssignment,
     elcs_exact_oracle,
@@ -26,6 +27,7 @@ from zedkit import (
     elcs_special,
     is_subsequence,
     lcs,
+    solve_seq,
     verify_seq_certificate,
     weighted_lcs,
     zed_one_side_duplicate_free,
@@ -218,6 +220,21 @@ def test_zed_seq_special_cases():
     assert not zed_seq_special(g, SeqGenome.of(-1, 2, 3)).answer
     assert not zed_seq_special(g, SeqGenome.of(2, 1, 3)).answer
     assert not zed_seq_special(g, SeqGenome.of(-2, 1, -3)).answer
+    # one-side pairs: the certificate is the duplicate-free genome
+    e, d = SeqGenome.of(1, -2, 3), SeqGenome.of(3, 1, 1, -2, 2, 3)
+    assert zed_seq_special(e, d) == zed_seq_special(d, e) == SeqDecision(True, e)
+    assert not zed_seq_special(SeqGenome.of(-2, 1, 3), d).answer
+    # a 3000-family exemplar inside a 33 000-gene genome, linear time
+    rng = SplitMix64(5)
+    e = SeqGenome(tuple(range(1, 3001)))
+    genes = []
+    for f in e.genes:
+        genes += [f, *(rng.randint(1, 3000) for _ in range(10))]
+    d = SeqGenome(tuple(genes))
+    t0 = time.perf_counter()
+    dec = zed_seq_special(d, e)
+    assert time.perf_counter() - t0 < 0.25
+    assert dec == SeqDecision(True, e)
 
 
 def test_zed_seq_special_family_mismatch_is_no():
@@ -297,4 +314,7 @@ def test_ordering_scan_matches_literal_permutations(seed):
 def test_zed_seq_special_agrees_with_exact(seed):
     rng = SplitMix64(seed)
     g1, g2 = random_seq_pair(rng.next64(), 2 + rng.randint(0, 4), max_occ=3, special=True)
-    assert zed_seq_special(g1, g2).answer == zed_seq_exact(g1, g2).answer
+    exact = zed_seq_exact(g1, g2).answer
+    assert zed_seq_special(g1, g2).answer == exact
+    route, dec = solve_seq(g1, g2)
+    assert route in ("equality", "subsequence", "special") and dec.answer == exact

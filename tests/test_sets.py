@@ -6,12 +6,15 @@ import oracles
 from worked_examples import SET_CERT, SET_G1, SET_G2
 from zedkit import (
     CapExceededError,
+    InstanceClass,
     PreconditionViolatedError,
     SearchTimeoutError,
     SetGenome,
     build_intersection_graph,
+    classify_instance,
     max_weight_bipartite_matching,
     pad_to_equal_k,
+    solve_set,
     verify_set_certificate,
     zed_set_exact,
     zed_set_fpt,
@@ -215,7 +218,12 @@ def test_three_way_agreement_on_special_instances(seed):
 def test_fpt_agrees_with_exact_on_general_instances(seed):
     rng = SplitMix64(seed)
     g1, g2 = random_set_pair(rng.next64(), 3 + rng.randint(0, 6), 2 + rng.randint(0, 3), max_occ=3)
-    assert zed_set_fpt(g1, g2).answer == zed_set_exact(g1, g2).answer
+    exact = zed_set_exact(g1, g2).answer
+    assert zed_set_fpt(g1, g2).answer == exact
+    # a few seeds draw a special pair, which auto mode sends to the matching
+    route, dec = solve_set(g1, g2)
+    general = classify_instance(g1, g2) is InstanceClass.GENERAL
+    assert (route, dec.answer) == ("exact" if general else "matching", exact)
 
 
 def test_verify_set_certificate_worked_example():
