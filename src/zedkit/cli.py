@@ -261,6 +261,8 @@ def _bench_scenarios():
 
     s1, s2 = random_set_pair(2024, 2000, 200, special=True)
     yield "matching k=200 |S|=2000", 5.0, lambda: zed_set_matching(s1, s2)
+    t1, t2 = random_set_pair(2024, 20000, 2000, special=True)
+    yield "matching k=2000 |S|=20000", 5.0, lambda: zed_set_matching(t1, t2)
 
     # gene 9 occurs only in the left genome, so every one of the 8! pairings
     # is scanned before answering NO

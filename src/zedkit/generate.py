@@ -6,10 +6,15 @@ so outputs are identical across platforms and interpreter versions.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import numpy as np
+
 from .model import SeqGenome, SetGenome
 from .sat import CnfFormula, Literal, brute_force_sat
 
 _MASK64 = (1 << 64) - 1
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 class SplitMix64:
@@ -20,10 +25,10 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
@@ -45,9 +50,40 @@ class SplitMix64:
             items[k], items[j] = items[j], items[k]
 
     def sample(self, population: list, count: int) -> list:
-        pool = list(population)
-        self.shuffle(pool)
-        return pool[:count]
+        """The first count items of shuffle(list(population)), and the
+        stream left where that shuffle leaves it.
+
+        The shuffle's draws are made in one numpy step and each taken slot
+        is traced back through the swaps to the item that lands in it, so a
+        few items from a large pool cost no Python loop over the pool."""
+        n = len(population)
+        offsets, sizes, steps = _ramps(n)
+        # next64 over the shuffle's n - 1 draws, all at once (uint64 wraps)
+        z = np.uint64(self._state) + offsets
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + len(offsets) * _GAMMA) & _MASK64
+        # shuffle's step k (n - 1 down to 1) exchanges slots k and swap_at[k];
+        # hits holds slot * n + step for every step, sorted
+        swap_at = np.zeros(n, dtype=np.int64)
+        swap_at[1:] = (z % sizes)[::-1]
+        hits = np.sort(swap_at * n + steps)
+        out = []
+        for slot in range(min(count, n)):
+            pos, undone = slot, 0  # steps 1..undone are undone, latest first
+            while True:
+                i = int(hits.searchsorted(pos * n + undone + 1))
+                k = int(hits[i]) - pos * n if i < n and hits[i] < (pos + 1) * n else n
+                if undone < pos < k:
+                    k, pos = pos, int(swap_at[pos])
+                elif k < n:
+                    pos = k
+                else:
+                    break
+                undone = k
+            out.append(population[pos])
+        return out
 
 
 def random_cnf(seed: int, n_vars: int, n_clauses: int, *, distinct_vars: bool = False) -> CnfFormula:
@@ -78,6 +114,15 @@ def random_satisfiable_cnf(
         if brute_force_sat(phi) is not None:
             return phi
         attempt += 0x5BF03635
+
+
+@lru_cache(maxsize=8)
+def _ramps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For shuffling a pool of n: the state offsets of its n - 1 draws
+    (1..n-1 times the increment), their range sizes n..2, and the slots
+    0..n-1."""
+    offsets = np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA)
+    return offsets, np.arange(n, 1, -1, dtype=np.uint64), np.arange(n, dtype=np.int64)
 
 
 def _occurrence_counts(rng: SplitMix64, n_families: int, max_occ: int, special: bool):
@@ -140,10 +185,12 @@ def random_set_pair(
     cap = min(max_occ, n_chromosomes)
     counts = _occurrence_counts(rng, n_families, cap, special)
 
+    slots = list(range(n_chromosomes))
+
     def build(side: int) -> SetGenome:
         chroms: list[set[int]] = [set() for _ in range(n_chromosomes)]
         for f, pair in enumerate(counts, start=1):
-            for idx in rng.sample(list(range(n_chromosomes)), pair[side]):
+            for idx in rng.sample(slots, pair[side]):
                 chroms[idx].add(f)
         return SetGenome(tuple(frozenset(c) for c in chroms if c))
 

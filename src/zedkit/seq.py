@@ -196,6 +196,11 @@ def zed_seq_special(g1: SeqGenome, g2: SeqGenome) -> SeqDecision:
         raise PreconditionViolatedError(
             "instance is general: some family occurs at least twice in both genomes"
         )
+    return _special_decision(g1, g2, cls)
+
+
+def _special_decision(g1: SeqGenome, g2: SeqGenome, cls: InstanceClass) -> SeqDecision:
+    """zed_seq_special on a pair already classified as cls (not GENERAL)."""
     if cls is InstanceClass.BOTH_EXEMPLAR:
         return SeqDecision(True, g1) if g1.genes == g2.genes else SeqDecision(False)
     if cls is InstanceClass.ONE_SIDE_DUPLICATE_FREE:
@@ -309,9 +314,12 @@ def solve_seq(
     route = mode
     if mode == "auto":
         try:
-            route = _SEQ_ROUTES[classify_instance(g1, g2)]
+            cls = classify_instance(g1, g2)
         except FamilyMismatchError:
             return "family-mismatch", SeqDecision(False)
+        route = _SEQ_ROUTES[cls]
+        if route != "exact":
+            return route, _special_decision(g1, g2, cls)
     if route == "exact":
         return route, zed_seq_exact(g1, g2, max_families=max_families)
     return route, zed_seq_special(g1, g2)

@@ -11,6 +11,7 @@ chromosome count) and by the exact backjump search shared with ordered genomes.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,15 +32,17 @@ from .search import backjump_search
 
 @dataclass(frozen=True)
 class IntersectionGraph:
-    """Complete bipartite graph on chromosome pairs; entry (i, j) holds the
-    intersection of left chromosome i with right chromosome j (0-based)."""
+    """Bipartite graph on chromosome pairs: entry (i, j) holds the non-empty
+    intersection of left chromosome i with right chromosome j (0-based), in
+    (i, j) order; a pair that shares no gene is absent and weighs 0."""
 
     left_size: int
     right_size: int
     reduced: dict[tuple[int, int], frozenset[int]]
 
     def weight(self, i: int, j: int) -> int:
-        return len(self.reduced[(i, j)])
+        block = self.reduced.get((i, j))
+        return 0 if block is None else len(block)
 
 
 @dataclass(frozen=True)
@@ -79,18 +82,28 @@ def _decode(mask: int, universe: list[int]) -> frozenset[int]:
     return frozenset(out)
 
 
+def _hosts_of_genes(chromosomes: tuple[frozenset[int], ...]) -> dict[int, list[int]]:
+    """Gene -> indices of the chromosomes holding it, in increasing order."""
+    hosts: dict[int, list[int]] = {}
+    for h, c in enumerate(chromosomes):
+        for f in c:
+            hosts.setdefault(f, []).append(h)
+    return hosts
+
+
 def build_intersection_graph(g1: SetGenome, g2: SetGenome) -> IntersectionGraph:
-    """All pairwise chromosome intersections with their sizes."""
-    universe = sorted(g1.ground_set | g2.ground_set)
-    position = {f: k for k, f in enumerate(universe)}
-    m1 = _masks(g1, position)
-    m2 = _masks(g2, position)
-    reduced = {
-        (i, j): _decode(a & b, universe)
-        for i, a in enumerate(m1)
-        for j, b in enumerate(m2)
-    }
-    return IntersectionGraph(len(m1), len(m2), reduced)
+    """The non-empty chromosome intersections, built through a gene ->
+    chromosome index of g2: O(sum over genes of occ1 * occ2) work."""
+    hosts = _hosts_of_genes(g2.chromosomes)
+    reduced: dict[tuple[int, int], frozenset[int]] = {}
+    for i, c in enumerate(g1.chromosomes):
+        row: dict[int, list[int]] = {}
+        for f in c:
+            for j in hosts.get(f, ()):
+                row.setdefault(j, []).append(f)
+        for j in sorted(row):
+            reduced[(i, j)] = frozenset(row[j])
+    return IntersectionGraph(len(g1.chromosomes), len(g2.chromosomes), reduced)
 
 
 def max_weight_bipartite_matching(graph: IntersectionGraph) -> Matching:
@@ -98,13 +111,14 @@ def max_weight_bipartite_matching(graph: IntersectionGraph) -> Matching:
     if graph.left_size == 0 or graph.right_size == 0:
         return Matching(frozenset(), 0)
     w = np.zeros((graph.left_size, graph.right_size), dtype=np.int64)
-    for (i, j), c in graph.reduced.items():
-        w[i, j] = len(c)
+    if graph.reduced:
+        ij = np.array(list(graph.reduced), dtype=np.intp)
+        w[ij[:, 0], ij[:, 1]] = [len(c) for c in graph.reduced.values()]
     rows, cols = linear_sum_assignment(w, maximize=True)
-    pairs = frozenset(
-        (int(i), int(j)) for i, j in zip(rows, cols) if w[i, j] > 0
-    )
-    return Matching(pairs, int(w[rows, cols].sum()))
+    picked = w[rows, cols]
+    used = picked > 0
+    pairs = frozenset(zip(rows[used].tolist(), cols[used].tolist()))
+    return Matching(pairs, int(picked.sum()))
 
 
 def zed_set_matching(g1: SetGenome, g2: SetGenome) -> SetDecision:
@@ -119,6 +133,11 @@ def zed_set_matching(g1: SetGenome, g2: SetGenome) -> SetDecision:
         raise PreconditionViolatedError(
             "instance is general: some family occurs at least twice in both genomes"
         )
+    return _matching_decision(g1, g2)
+
+
+def _matching_decision(g1: SetGenome, g2: SetGenome) -> SetDecision:
+    """zed_set_matching on a pair already classified as special."""
     graph = build_intersection_graph(g1, g2)
     matching = max_weight_bipartite_matching(graph)
     if matching.total_weight != len(g1.ground_set | g2.ground_set):
@@ -251,7 +270,9 @@ def solve_set(
             general = classify_instance(g1, g2) is InstanceClass.GENERAL
         except FamilyMismatchError:
             return "family-mismatch", SetDecision(False)
-        route = "exact" if general else "matching"
+        if not general:
+            return "matching", _matching_decision(g1, g2)
+        route = "exact"
     if route == "matching":
         return route, zed_set_matching(g1, g2)
     if route == "fpt":
@@ -262,21 +283,48 @@ def solve_set(
 def _embeds_injectively(
     blocks: tuple[frozenset[int], ...], hosts: tuple[frozenset[int], ...]
 ) -> bool:
-    """Each block must be a subset of a distinct host chromosome (augmenting paths)."""
-    adj = [[h for h, host in enumerate(hosts) if b <= host] for b in blocks]
-    owner: dict[int, int] = {}
+    """Each block must be a subset of a distinct host chromosome (augmenting paths).
 
-    def assign(u: int, visited: set[int]) -> bool:
-        for h in adj[u]:
-            if h in visited:
-                continue
-            visited.add(h)
-            if h not in owner or assign(owner[h], visited):
-                owner[h] = u
-                return True
-        return False
+    A block's candidate hosts are those holding its rarest gene that also
+    pass the subset test; an empty block may use any host."""
+    where = _hosts_of_genes(hosts)
+    adj: list[Sequence[int]] = []
+    for b in blocks:
+        if not b:
+            adj.append(range(len(hosts)))
+            continue
+        rare = where.get(min(b, key=lambda f: len(where.get(f, ()))), ())
+        adj.append([h for h in rare if b <= hosts[h]])
+    owner = [-1] * len(hosts)  # host -> the block it holds
+    seen = [-1] * len(hosts)  # host -> the last root whose search visited it
+    return all(_augment(u, adj, owner, seen) for u in range(len(blocks)))
 
-    return all(assign(u, set()) for u in range(len(blocks)))
+
+def _augment(root: int, adj: list[Sequence[int]], owner: list[int], seen: list[int]) -> bool:
+    """Kuhn's augmenting-path step from block root, with an explicit stack.
+
+    Hosts are tried in adjacency order, depth first, as the recursive form
+    would; on reaching a free host every host on the path changes owner."""
+    stack = [(root, iter(adj[root]))]
+    taken: list[int] = []  # taken[d]: the host that frame d went through
+    while stack:
+        for h in stack[-1][1]:
+            if seen[h] != root:
+                break
+        else:
+            stack.pop()
+            if taken:
+                taken.pop()
+            continue
+        seen[h] = root
+        taken.append(h)
+        if owner[h] >= 0:
+            stack.append((owner[h], iter(adj[owner[h]])))
+            continue
+        for (v, _), g in zip(stack, taken):
+            owner[g] = v
+        return True
+    return False
 
 
 def verify_set_certificate(g1: SetGenome, g2: SetGenome, cert: SetGenome) -> CertificateCheck:

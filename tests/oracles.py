@@ -135,3 +135,40 @@ def best_matching_weight(weights: list[list[int]]) -> int:
         (sum(w[i][p[i]] for i in range(k)) for p in itertools.permutations(range(k))),
         default=0,
     )
+
+
+def chromosome_intersections(g1, g2) -> dict:
+    """The non-empty intersections of every chromosome pair, by a plain
+    all-pairs loop over two lists of gene sets; keys are 0-based (i, j)."""
+    out = {}
+    for i, a in enumerate(g1):
+        for j, b in enumerate(g2):
+            common = set(a) & set(b)
+            if common:
+                out[(i, j)] = frozenset(common)
+    return out
+
+
+def embeds_injectively(blocks, hosts) -> bool:
+    """Whether the blocks are subsets of distinct hosts, by trying every
+    injective block -> host assignment (tiny inputs only)."""
+    blocks, hosts = [set(b) for b in blocks], [set(h) for h in hosts]
+    return any(
+        all(b <= hosts[h] for b, h in zip(blocks, choice))
+        for choice in itertools.permutations(range(len(hosts)), len(blocks))
+    )
+
+
+def set_certificate_fault(g1, g2, cert) -> str | None:
+    """None when cert (a list of gene sets) partitions the ground set of the
+    chromosome lists g1 and g2 and embeds injectively into both; otherwise
+    the first check that fails: "partition", "g1" or "g2"."""
+    ground = {f for c in (*g1, *g2) for f in c}
+    genes = [f for b in cert for f in b]
+    if len(genes) != len(set(genes)) or set(genes) != ground:
+        return "partition"
+    if not embeds_injectively(cert, g1):
+        return "g1"
+    if not embeds_injectively(cert, g2):
+        return "g2"
+    return None

@@ -289,13 +289,18 @@ def test_criterion_10_complexity_smoke():
         zed_set_matching(s1, s2)
     assert sw_match.elapsed < 5.0
 
+    t1, t2 = random_set_pair(2024, 20000, 2000, special=True)
+    with stopwatch() as sw_big:
+        zed_set_matching(t1, t2)
+    assert sw_big.elapsed < 2.0
+
     f1 = SetGenome.of({1, 9}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
     f2 = SetGenome.of({1}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
     with stopwatch() as sw_fpt:
         assert not zed_set_fpt(f1, f2, max_k=8).answer  # scans all 8! pairings
     assert sw_fpt.elapsed < 10.0
     report(10, f"lcs 5000x5000 {sw_lcs.elapsed:.2f}s, matching k=200 {sw_match.elapsed:.2f}s, "
-               f"permutation scan k=8 {sw_fpt.elapsed:.2f}s")
+               f"matching k=2000 {sw_big.elapsed:.2f}s, permutation scan k=8 {sw_fpt.elapsed:.2f}s")
 
 
 def test_criterion_11_io_round_trips_and_diagnostics():

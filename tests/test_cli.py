@@ -1,7 +1,12 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import zedkit
 from worked_examples import SEQ_G1, SEQ_G2, SET_CERT, SET_G1, SET_G2
 from zedkit.cli import main
 from zedkit.formats import emit_seq_genome, emit_set_genome, parse_seq_genome, parse_set_genome
@@ -210,6 +215,25 @@ def test_verify_set_worked_certificate(set_files, tmp_path):
     cert = tmp_path / "cert.set"
     cert.write_text(emit_set_genome(SET_CERT))
     assert main(["verify", "--variant", "set", *set_files, str(cert)]) == 0
+
+
+def test_verify_set_long_augmenting_paths(tmp_path):
+    # hosts {h, h+1} and a last host {k}, blocks the singletons: block {h}
+    # first displaces {h-1}, which displaces {h-2}, ... down to {1}, so the
+    # augmenting paths grow k steps long.  A fresh interpreter keeps any
+    # recursion-limit raise made earlier in the test session out of play.
+    k = 1500
+    hosts = tmp_path / "hosts.set"
+    hosts.write_text("".join(f"{h} {h + 1}\n" for h in range(1, k)) + f"{k}\n")
+    cert = tmp_path / "cert.set"
+    cert.write_text("".join(f"{g}\n" for g in range(1, k + 1)))
+    src = str(pathlib.Path(zedkit.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "zedkit", "verify", "--variant", "set", str(hosts), str(hosts), str(cert)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "OK\n"), proc.stderr
 
 
 def test_verify_rejects_tampered_certificate(seq_files, tmp_path, capsys):

@@ -14,6 +14,7 @@ from zedkit import (
     solve_set,
     verify_seq_certificate,
 )
+from zedkit import seq, sets
 from zedkit.model import (
     DUPLICATE_FAMILY,
     MISSING_FAMILY,
@@ -123,9 +124,19 @@ def test_classify_family_mismatch():
         (solve_set, SET_G1, SET_G2, "exact", "exact", True),
     ],
 )
-def test_router_route_per_class(solve, g1, g2, mode, route, answer):
+def test_router_route_per_class(solve, g1, g2, mode, route, answer, monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return classify_instance(a, b)
+
+    for module in (seq, sets):
+        monkeypatch.setattr(module, "classify_instance", counted)
     got, dec = solve(g1, g2, mode=mode)
     assert (got, dec.answer) == (route, answer)
+    # the router and the solver it picks classify the pair once between them
+    assert len(calls) <= 1
 
 
 def test_router_rejects_unknown_mode():

@@ -21,7 +21,7 @@ from zedkit import (
     zed_set_matching,
 )
 from zedkit.generate import SplitMix64, random_set_pair
-from zedkit.model import NO_EMBEDDING_IN_G1, NOT_PARTITION
+from zedkit.model import NO_EMBEDDING_IN_G1, NO_EMBEDDING_IN_G2, NOT_PARTITION
 
 
 def test_intersection_graph_worked_row():
@@ -32,9 +32,34 @@ def test_intersection_graph_worked_row():
 
 def test_intersection_graph_edge_cases():
     graph = build_intersection_graph(SetGenome.of({1, 2}), SetGenome.of({3}))
-    assert graph.weight(0, 0) == 0 and graph.reduced[(0, 0)] == frozenset()
+    assert graph.weight(0, 0) == 0 and (0, 0) not in graph.reduced
     graph = build_intersection_graph(SetGenome.of({1, 2, 3}), SetGenome.of({1, 2, 3}))
     assert graph.weight(0, 0) == 3
+
+
+def _with_empty_chromosomes(rng, g):
+    chroms = list(g.chromosomes)
+    for _ in range(rng.randint(0, 2)):
+        chroms.insert(rng.randint(0, len(chroms)), frozenset())
+    return SetGenome(tuple(chroms))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_intersection_graph_matches_all_pairs_oracle(seed):
+    rng = SplitMix64(900 + seed)
+    g1, g2 = random_set_pair(
+        rng.next64(), 1 + rng.randint(0, 14), 1 + rng.randint(0, 6),
+        max_occ=3, special=seed % 2 == 0,
+    )
+    g1, g2 = _with_empty_chromosomes(rng, g1), _with_empty_chromosomes(rng, g2)
+    graph = build_intersection_graph(g1, g2)
+    expected = oracles.chromosome_intersections(g1.chromosomes, g2.chromosomes)
+    assert graph.reduced == expected
+    assert list(graph.reduced) == sorted(graph.reduced)
+    assert (graph.left_size, graph.right_size) == (len(g1), len(g2))
+    for i in range(len(g1)):
+        for j in range(len(g2)):
+            assert graph.weight(i, j) == len(expected.get((i, j), ()))
 
 
 def test_matching_diagonal():
@@ -255,6 +280,82 @@ def test_verify_set_certificate_needs_injective_hosts():
     g2 = SetGenome.of({1}, {2})
     cert = SetGenome.of({1}, {2})
     assert verify_set_certificate(g1, g2, cert).reason == NO_EMBEDDING_IN_G1
+
+
+_FAULTS = {None: None, "partition": NOT_PARTITION, "g1": NO_EMBEDDING_IN_G1, "g2": NO_EMBEDDING_IN_G2}
+
+
+def _planted_set_instance(rng):
+    """A partition of 1..n into blocks, and two genomes that each hold every
+    block inside its own chromosome, plus extra gene copies and spare
+    (possibly empty) chromosomes."""
+    genes = list(range(1, 2 + rng.randint(0, 6)))
+    rng.shuffle(genes)
+    cuts = sorted(rng.sample(list(range(1, len(genes))), rng.randint(0, min(3, len(genes) - 1))))
+    blocks = [set(genes[a:b]) for a, b in zip([0, *cuts], [*cuts, len(genes)])]
+
+    def host_genome():
+        hosts = [set(b) for b in blocks] + [set() for _ in range(rng.randint(0, 2))]
+        for f in genes:
+            if rng.randint(0, 2) == 0:
+                hosts[rng.randint(0, len(hosts) - 1)].add(f)
+        rng.shuffle(hosts)
+        return SetGenome.of(*hosts)
+
+    if rng.randint(0, 3) == 0:
+        blocks.append(set())
+    return host_genome(), host_genome(), blocks
+
+
+def _mutations(rng, blocks):
+    """Certificates near a planted one: a gene moved, dropped or doubled,
+    two blocks merged, a block split, an empty block added."""
+    out = []
+    full = [i for i, b in enumerate(blocks) if b]
+    src = rng.choice(full)
+    gene = rng.choice(sorted(blocks[src]))
+    dst = rng.randint(0, len(blocks))
+    moved = [set(b) for b in blocks] + [set()]
+    moved[src].discard(gene)
+    moved[dst].add(gene)
+    out.append(moved)
+    dropped = [set(b) for b in blocks]
+    dropped[src].discard(gene)
+    out.append(dropped)
+    out.append([*blocks, {gene}])
+    if len(blocks) >= 2:
+        out.append([blocks[0] | blocks[1], *blocks[2:]])
+    if len(blocks[src]) >= 2:
+        ordered = sorted(blocks[src])
+        out.append([*blocks[:src], set(ordered[:1]), set(ordered[1:]), *blocks[src + 1:]])
+    out.append([*blocks, set()])
+    return out
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_verify_set_certificate_matches_embedding_oracle(seed):
+    rng = SplitMix64(1_300 + seed)
+    g1, g2, blocks = _planted_set_instance(rng)
+    assert oracles.set_certificate_fault(g1.chromosomes, g2.chromosomes, blocks) is None
+    for cert in (blocks, *_mutations(rng, blocks)):
+        check = verify_set_certificate(g1, g2, SetGenome.of(*cert))
+        fault = oracles.set_certificate_fault(g1.chromosomes, g2.chromosomes, cert)
+        assert (check.ok, check.reason) == (fault is None, _FAULTS[fault])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_verify_set_certificate_matches_oracle_on_random_pairs(seed):
+    rng = SplitMix64(1_400 + seed)
+    g1, g2 = random_set_pair(rng.next64(), 1 + rng.randint(0, 6), 1 + rng.randint(0, 4), max_occ=3)
+    g1, g2 = _with_empty_chromosomes(rng, g1), _with_empty_chromosomes(rng, g2)
+    genes = sorted(g1.ground_set | g2.ground_set)
+    for _ in range(5):
+        blocks = [set() for _ in range(1 + rng.randint(0, 3))]
+        for f in genes:
+            blocks[rng.randint(0, len(blocks) - 1)].add(f)
+        check = verify_set_certificate(g1, g2, SetGenome.of(*blocks))
+        fault = oracles.set_certificate_fault(g1.chromosomes, g2.chromosomes, blocks)
+        assert (check.ok, check.reason) == (fault is None, _FAULTS[fault])
 
 
 set_genomes = st.lists(
