@@ -39,8 +39,8 @@ EXIT_PRECONDITION = 3
 EXIT_CAP = 4
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def _read(path: str) -> bytes:
+    return Path(path).read_bytes()  # the parsers decode UTF-8 and locate bad bytes
 
 
 def _write(path: str, text: str) -> None:
@@ -388,8 +388,8 @@ def main(argv=None) -> int:
     except PreconditionViolatedError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (CapExceededError, SearchTimeoutError) as exc:
-        print(f"limit exceeded: {exc}", file=sys.stderr)
+    except (CapExceededError, SearchTimeoutError, MemoryError, RecursionError) as exc:
+        print(f"limit exceeded: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_CAP
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

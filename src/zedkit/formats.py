@@ -27,16 +27,34 @@ CLAUSE_COUNT_MISMATCH = "ClauseCountMismatch"
 DUPLICATE_FAMILY = "DuplicateFamily"
 
 _TOKEN = re.compile(r"\S+")
-_SIGNED_INT = re.compile(r"[+-]?\d+\Z")
-_UNSIGNED_INT = re.compile(r"\d+\Z")
+_SIGNED_INT = re.compile(r"[+-]?[0-9]+\Z")
+_UNSIGNED_INT = re.compile(r"[0-9]+\Z")
 
 
 def _fail(line: int, column: int, code: str, message: str):
     raise ParseError(ParseDiagnostic(line, column, code, message))
 
 
+def _integer(tok: str, pattern: re.Pattern, line: int, column: int, what: str) -> int:
+    """tok as an int; a MalformedToken when it does not match the ASCII
+    pattern or has more digits than int() converts."""
+    if not pattern.match(tok):
+        _fail(line, column, MALFORMED_TOKEN, f"expected {what}, got {tok!r}")
+    try:
+        return int(tok)
+    except ValueError:
+        _fail(line, column, MALFORMED_TOKEN, f"integer of {len(tok)} characters is too long")
+
+
 def _text(data) -> str:
-    return data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    if not isinstance(data, (bytes, bytearray)):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        _fail(len(lines), len(lines[-1]), MALFORMED_TOKEN,
+              f"byte 0x{data[exc.start]:02x} is not valid UTF-8")
 
 
 def _data_lines(text: str, comment: str = "#"):
@@ -55,9 +73,7 @@ def parse_seq_genome(data) -> SeqGenome:
     for lineno, line in _data_lines(_text(data)):
         for match in _TOKEN.finditer(line):
             tok, col = match.group(), match.start() + 1
-            if not _SIGNED_INT.match(tok):
-                _fail(lineno, col, MALFORMED_TOKEN, f"expected a signed integer, got {tok!r}")
-            value = int(tok)
+            value = _integer(tok, _SIGNED_INT, lineno, col, "a signed integer")
             if value == 0:
                 _fail(lineno, col, ZERO_GENE, "gene 0 is reserved")
             if abs(value) > MAX_FAMILY:
@@ -87,9 +103,7 @@ def parse_set_genome(data) -> SetGenome:
         members: set[int] = set()
         for match in matches:
             tok, col = match.group(), match.start() + 1
-            if not _UNSIGNED_INT.match(tok):
-                _fail(lineno, col, MALFORMED_TOKEN, f"expected a positive integer, got {tok!r}")
-            value = int(tok)
+            value = _integer(tok, _UNSIGNED_INT, lineno, col, "a positive integer")
             if value == 0:
                 _fail(lineno, col, ZERO_GENE, "gene 0 is reserved")
             if value > MAX_FAMILY:
@@ -128,8 +142,10 @@ def parse_dimacs3(data) -> CnfFormula:
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 _fail(lineno, line.find("p") + 1, BAD_HEADER, "expected 'p cnf <vars> <clauses>'")
             try:
+                if not (_SIGNED_INT.match(parts[2]) and _SIGNED_INT.match(parts[3])):
+                    raise ValueError
                 n, m = int(parts[2]), int(parts[3])
-            except ValueError:
+            except ValueError:  # not ASCII integers, or too long for int()
                 _fail(lineno, line.find("p") + 1, BAD_HEADER, "non-integer header counts")
             if n < 0 or m < 0:
                 _fail(lineno, line.find("p") + 1, BAD_HEADER, "negative header counts")
@@ -139,9 +155,7 @@ def parse_dimacs3(data) -> CnfFormula:
             _fail(lineno, _TOKEN.search(line).start() + 1, BAD_HEADER, "clause data before header")
         for match in _TOKEN.finditer(line):
             tok, col = match.group(), match.start() + 1
-            if not _SIGNED_INT.match(tok):
-                _fail(lineno, col, MALFORMED_TOKEN, f"expected an integer, got {tok!r}")
-            value = int(tok)
+            value = _integer(tok, _SIGNED_INT, lineno, col, "an integer")
             if value == 0:
                 if len(pending) != 3:
                     _fail(lineno, col, CLAUSE_NOT_TERNARY,
@@ -184,9 +198,9 @@ def parse_name_table(data) -> GeneNameTable:
         if len(parts) != 2:
             _fail(lineno, 1, MALFORMED_TOKEN, "expected 'family<TAB>role'")
         fam_str, role = parts
-        if not _UNSIGNED_INT.match(fam_str.strip()) or int(fam_str) < 1:
+        fam = _integer(fam_str.strip(), _UNSIGNED_INT, lineno, 1, "a family id")
+        if fam < 1:
             _fail(lineno, 1, MALFORMED_TOKEN, f"bad family id {fam_str!r}")
-        fam = int(fam_str)
         if not role:
             _fail(lineno, len(fam_str) + 2, MALFORMED_TOKEN, "empty role name")
         if fam in roles or role in seen_roles:

@@ -11,11 +11,12 @@ chromosome count) and by the exact backjump search shared with ordered genomes.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import CapExceededError, FamilyMismatchError, PreconditionViolatedError
 from .model import (
@@ -61,16 +62,6 @@ class SetDecision:
     certificate: SetGenome | None = None
     witness_matching: Matching | None = None
     witness_permutation: tuple[int, ...] | None = None
-
-
-def _masks(genome: SetGenome, position: dict[int, int]) -> list[int]:
-    out = []
-    for c in genome.chromosomes:
-        m = 0
-        for f in c:
-            m |= 1 << position[f]
-        out.append(m)
-    return out
 
 
 def _decode(mask: int, universe: list[int]) -> frozenset[int]:
@@ -146,31 +137,21 @@ def _matching_decision(g1: SetGenome, g2: SetGenome) -> SetDecision:
     return SetDecision(True, cert, witness_matching=matching)
 
 
-def pad_to_equal_k(g1: SetGenome, g2: SetGenome) -> tuple[SetGenome, SetGenome]:
-    """Append empty chromosomes so both genomes have max(k1, k2) chromosomes."""
-    k = max(len(g1.chromosomes), len(g2.chromosomes))
-
-    def pad(g: SetGenome) -> SetGenome:
-        return SetGenome(g.chromosomes + (frozenset(),) * (k - len(g.chromosomes)))
-
-    return pad(g1), pad(g2)
-
-
 def zed_set_fpt(g1: SetGenome, g2: SetGenome, *, max_k: int = 10) -> SetDecision:
     """Exact decision for the general case, fixed-parameter in the chromosome
-    count: pad to equal size k and scan all k! pairings of chromosomes for one
-    whose intersections cover every gene.  The witness is the lexicographically
+    count: with k = max(k1, k2) (the shorter genome read as padded by empty
+    chromosomes), scan all k! pairings of chromosomes for one whose
+    intersections cover every gene.  The witness is the lexicographically
     smallest covering permutation; the certificate keeps each gene only in its
     lowest-index covering pair, so it is a partition."""
-    p1, p2 = pad_to_equal_k(g1, g2)
-    k = len(p1.chromosomes)
+    k = max(len(g1.chromosomes), len(g2.chromosomes))
     if k > max_k:
         raise CapExceededError(f"chromosome count {k} exceeds the cap of {max_k}")
     universe = sorted(g1.ground_set | g2.ground_set)
     position = {f: x for x, f in enumerate(universe)}
-    m1 = _masks(p1, position)
-    m2 = _masks(p2, position)
-    inter = [[a & b for b in m2] for a in m1]
+    inter = [[0] * k for _ in range(k)]  # bitmask of each intersection over universe
+    for (i, j), block in build_intersection_graph(g1, g2).reduced.items():
+        inter[i][j] = sum(1 << position[f] for f in block)
     full = (1 << len(universe)) - 1
     for perm in itertools.permutations(range(k)):
         acc = 0
@@ -215,12 +196,12 @@ def zed_set_exact(
     """
     if g1.ground_set != g2.ground_set:
         return SetDecision(False)
+    graph = build_intersection_graph(g1, g2)
     genes = sorted(g1.ground_set)
     cands: dict[int, list[tuple[int, int]]] = {g: [] for g in genes}
-    for i, a in enumerate(g1.chromosomes):
-        for j, b in enumerate(g2.chromosomes):
-            for g in a & b:
-                cands[g].append((i, j))
+    for pair, block in graph.reduced.items():  # in (i, j) order
+        for g in block:
+            cands[g].append(pair)
     for g in genes:
         if not cands[g]:
             return SetDecision(False)
@@ -245,7 +226,7 @@ def zed_set_exact(
         groups.setdefault(p, set()).add(g)
     pairs = sorted(groups)
     cert = SetGenome(tuple(frozenset(groups[p]) for p in pairs))
-    total = sum(len(g1.chromosomes[i] & g2.chromosomes[j]) for i, j in pairs)
+    total = sum(graph.weight(i, j) for i, j in pairs)
     return SetDecision(
         True, cert, witness_matching=Matching(frozenset(pairs), total)
     )
@@ -283,48 +264,25 @@ def solve_set(
 def _embeds_injectively(
     blocks: tuple[frozenset[int], ...], hosts: tuple[frozenset[int], ...]
 ) -> bool:
-    """Each block must be a subset of a distinct host chromosome (augmenting paths).
+    """Each block must be a subset of a distinct host chromosome.
 
-    A block's candidate hosts are those holding its rarest gene that also
-    pass the subset test; an empty block may use any host."""
+    A non-empty block's candidate hosts are those holding its rarest gene
+    that also pass the subset test; the blocks embed iff a maximum bipartite
+    matching (Hopcroft-Karp) covers every non-empty block and enough hosts are
+    left over for the empty ones."""
+    if len(blocks) > len(hosts):
+        return False
     where = _hosts_of_genes(hosts)
-    adj: list[Sequence[int]] = []
+    adj = []  # the candidate hosts of each non-empty block
     for b in blocks:
-        if not b:
-            adj.append(range(len(hosts)))
-            continue
-        rare = where.get(min(b, key=lambda f: len(where.get(f, ()))), ())
-        adj.append([h for h in rare if b <= hosts[h]])
-    owner = [-1] * len(hosts)  # host -> the block it holds
-    seen = [-1] * len(hosts)  # host -> the last root whose search visited it
-    return all(_augment(u, adj, owner, seen) for u in range(len(blocks)))
-
-
-def _augment(root: int, adj: list[Sequence[int]], owner: list[int], seen: list[int]) -> bool:
-    """Kuhn's augmenting-path step from block root, with an explicit stack.
-
-    Hosts are tried in adjacency order, depth first, as the recursive form
-    would; on reaching a free host every host on the path changes owner."""
-    stack = [(root, iter(adj[root]))]
-    taken: list[int] = []  # taken[d]: the host that frame d went through
-    while stack:
-        for h in stack[-1][1]:
-            if seen[h] != root:
-                break
-        else:
-            stack.pop()
-            if taken:
-                taken.pop()
-            continue
-        seen[h] = root
-        taken.append(h)
-        if owner[h] >= 0:
-            stack.append((owner[h], iter(adj[owner[h]])))
-            continue
-        for (v, _), g in zip(stack, taken):
-            owner[g] = v
-        return True
-    return False
+        if b:
+            rare = where.get(min(b, key=lambda f: len(where.get(f, ()))), ())
+            adj.append([h for h in rare if b <= hosts[h]])
+    indices = [h for row in adj for h in row]
+    indptr = np.cumsum([0, *map(len, adj)])
+    edges = np.ones(len(indices), dtype=np.int8)
+    graph = csr_array((edges, indices, indptr), shape=(len(adj), len(hosts)))
+    return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
 
 
 def verify_set_certificate(g1: SetGenome, g2: SetGenome, cert: SetGenome) -> CertificateCheck:

@@ -299,8 +299,24 @@ def test_criterion_10_complexity_smoke():
     with stopwatch() as sw_fpt:
         assert not zed_set_fpt(f1, f2, max_k=8).answer  # scans all 8! pairings
     assert sw_fpt.elapsed < 10.0
+
+    # hosts {h, h+1} plus {k} with singleton blocks: augmenting paths k steps long
+    k = 1500
+    chain = SetGenome(tuple(frozenset({h, h + 1}) for h in range(1, k)) + (frozenset({k}),))
+    singletons = SetGenome(tuple(frozenset({g}) for g in range(1, k + 1)))
+    with stopwatch() as sw_path:
+        assert verify_set_certificate(chain, chain, singletons).ok
+    assert sw_path.elapsed < 0.5
+
+    # 1000 singleton chromosomes plus 1000 empty ones, certified by themselves
+    padded = SetGenome(tuple(frozenset({g}) for g in range(1, 1001)) + (frozenset(),) * 1000)
+    with stopwatch() as sw_empty:
+        assert verify_set_certificate(padded, padded, padded).ok
+    assert sw_empty.elapsed < 0.5
     report(10, f"lcs 5000x5000 {sw_lcs.elapsed:.2f}s, matching k=200 {sw_match.elapsed:.2f}s, "
-               f"matching k=2000 {sw_big.elapsed:.2f}s, permutation scan k=8 {sw_fpt.elapsed:.2f}s")
+               f"matching k=2000 {sw_big.elapsed:.2f}s, permutation scan k=8 {sw_fpt.elapsed:.2f}s, "
+               f"verify k=1500 path {sw_path.elapsed:.3f}s, verify 1000+1000 empty "
+               f"{sw_empty.elapsed:.3f}s")
 
 
 def test_criterion_11_io_round_trips_and_diagnostics():

@@ -236,6 +236,23 @@ def test_verify_set_long_augmenting_paths(tmp_path):
     assert (proc.returncode, proc.stdout) == (0, "OK\n"), proc.stderr
 
 
+def test_verify_reports_undecodable_bytes_as_a_parse_error(set_files, tmp_path, capsys):
+    cert = tmp_path / "cert.set"
+    cert.write_bytes(b"1 2\n3 \xff\n")
+    assert main(["verify", "--variant", "set", *set_files, str(cert)]) == 2
+    assert "2:3: MalformedToken" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_errors_exit_as_limit_exceeded(seq_files, monkeypatch, capsys, error):
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(zedkit.cli, "solve_seq", exhausted)
+    assert main(["solve-seq", *seq_files]) == 4
+    assert capsys.readouterr().err == f"limit exceeded: {error.__name__}\n"
+
+
 def test_verify_rejects_tampered_certificate(seq_files, tmp_path, capsys):
     cert = tmp_path / "cert.seq"
     cert.write_text("-4 1 1 2 -5 3 -6\n")

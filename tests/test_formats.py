@@ -88,6 +88,8 @@ def test_parse_dimacs_errors():
     assert diagnostic(parse_dimacs3, "p cnf 2 1\np cnf 2 1").code == BAD_HEADER
     assert diagnostic(parse_dimacs3, "p cnf 3 1\n1 2 3").code == CLAUSE_NOT_TERNARY
     assert diagnostic(parse_dimacs3, "p cnf 3 1\n1 x 3 0").code == MALFORMED_TOKEN
+    assert diagnostic(parse_dimacs3, "p cnf ٣ 0").code == BAD_HEADER  # ASCII digits only
+    assert diagnostic(parse_dimacs3, "p cnf 3 " + "9" * 4301).code == BAD_HEADER
 
 
 def test_name_table_round_trip_and_line_count():
@@ -157,3 +159,43 @@ cnf_formulas = st.builds(
 @settings(max_examples=60)
 def test_dimacs_round_trip(phi):
     assert parse_dimacs3(emit_dimacs3(phi)) == phi
+
+
+LONG = "9" * 4301  # more digits than int() converts
+
+
+@pytest.mark.parametrize(
+    "parse, data, where",
+    [
+        (parse_seq_genome, "1 " + LONG, (1, 3)),
+        (parse_set_genome, "1\n" + LONG, (2, 1)),
+        (parse_dimacs3, "p cnf 3 1\n1 2 " + LONG + " 0", (2, 5)),
+        (parse_name_table, LONG + "\tx_1", (1, 1)),
+        (parse_seq_genome, "٣ 1", (1, 1)),  # ARABIC-INDIC DIGIT THREE
+        (parse_set_genome, "2 ٣", (1, 3)),
+        (parse_dimacs3, "p cnf 3 1\n1 2 ٣ 0", (2, 5)),
+        (parse_seq_genome, b"1 2\n3 \xff 4", (2, 3)),
+        (parse_set_genome, b"1\r\n2 \x80", (2, 3)),
+        (parse_dimacs3, b"\xc3", (1, 1)),
+    ],
+)
+def test_long_non_ascii_and_undecodable_tokens_are_malformed(parse, data, where):
+    d = diagnostic(parse, data)
+    assert ((d.line, d.column), d.code) == (where, MALFORMED_TOKEN)
+
+
+fragments = st.sampled_from(
+    ["1", "-2", "+3", "0", "12", "-", " ", "\t", "\n", "\r\n", "#", "c", "p", "cnf",
+     "p cnf 3 1\n", "٣", "x", "\u00a0", "\u2028"]
+)
+parser_inputs = st.one_of(st.text(), st.binary(), st.lists(fragments, max_size=30).map("".join))
+
+
+@pytest.mark.parametrize("parse", [parse_seq_genome, parse_set_genome, parse_dimacs3])
+@given(data=parser_inputs)
+@settings(max_examples=150)
+def test_parsers_accept_or_raise_a_located_diagnostic(parse, data):
+    try:
+        parse(data)
+    except ParseError as err:
+        assert err.diagnostic.line >= 1 and err.diagnostic.column >= 1

@@ -13,7 +13,6 @@ from zedkit import (
     build_intersection_graph,
     classify_instance,
     max_weight_bipartite_matching,
-    pad_to_equal_k,
     solve_set,
     verify_set_certificate,
     zed_set_exact,
@@ -145,17 +144,6 @@ def test_zed_set_matching_rejects_general():
     g = SetGenome.of({1, 2}, {1, 2})
     with pytest.raises(PreconditionViolatedError):
         zed_set_matching(g, g)
-
-
-def test_pad_to_equal_k():
-    g1 = SetGenome.of({1}, {2}, {3})
-    g2 = SetGenome.of({1, 2, 3}, {1}, {2}, {3})
-    p1, p2 = pad_to_equal_k(g1, g2)
-    assert len(p1) == len(p2) == 4
-    assert p1.chromosomes[3] == frozenset()
-    assert pad_to_equal_k(g2, g2) == (g2, g2)
-    e1, e2 = pad_to_equal_k(g1, SetGenome(()))
-    assert len(e2) == 3 and all(not c for c in e2.chromosomes)
 
 
 def test_zed_set_fpt_worked_example():
@@ -337,10 +325,13 @@ def test_verify_set_certificate_matches_embedding_oracle(seed):
     rng = SplitMix64(1_300 + seed)
     g1, g2, blocks = _planted_set_instance(rng)
     assert oracles.set_certificate_fault(g1.chromosomes, g2.chromosomes, blocks) is None
-    for cert in (blocks, *_mutations(rng, blocks)):
+    full = [b for b in blocks if b]
+    crowded = [*full, *[set()] * (len(g1.chromosomes) - len(full) + 1)]  # one empty block too many
+    for cert in (blocks, *_mutations(rng, blocks), crowded):
         check = verify_set_certificate(g1, g2, SetGenome.of(*cert))
         fault = oracles.set_certificate_fault(g1.chromosomes, g2.chromosomes, cert)
         assert (check.ok, check.reason) == (fault is None, _FAULTS[fault])
+    assert check.reason == NO_EMBEDDING_IN_G1  # the crowded certificate
 
 
 @pytest.mark.parametrize("seed", range(40))
