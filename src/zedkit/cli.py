@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -102,10 +103,13 @@ def _set_witness(dec) -> list:
 
 
 def _cmd_solve_set(args) -> int:
+    if not math.isfinite(args.timeout):
+        print("solve-set: --timeout must be a finite number of seconds", file=sys.stderr)
+        return EXIT_USAGE
     g1 = parse_set_genome(_read(args.g1))
     g2 = parse_set_genome(_read(args.g2))
     t0 = time.perf_counter()
-    route, dec = solve_set(g1, g2, mode=args.mode, max_k=args.max_k, timeout_s=args.timeout)
+    route, dec = solve_set(g1, g2, mode=args.mode, timeout_s=args.timeout)
     elapsed = (time.perf_counter() - t0) * 1000
     return _finish_solve(args, route, dec, elapsed, emit_set_genome, _set_witness)
 
@@ -270,7 +274,7 @@ def _bench_scenarios():
 
     f1 = SetGenome.of({1, 9}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
     f2 = SetGenome.of({1}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
-    yield "permutation scan k=8", 10.0, lambda: zed_set_fpt(f1, f2, max_k=8)
+    yield "permutation scan k=8", 10.0, lambda: zed_set_fpt(f1, f2)
 
     # the complete unsatisfiable 3-variable formula (all eight sign patterns)
     # compiles to a 55-family ordered pair that the exact search must refute
@@ -312,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g2")
     p.add_argument("--mode", choices=["auto", "matching", "fpt", "exact"], default="auto")
     p.add_argument("--cert-out")
-    p.add_argument("--max-k", type=int, default=10, help="chromosome cap for the permutation scan")
-    p.add_argument("--timeout", type=float, default=120.0, help="wall budget for the exact search (s)")
+    p.add_argument("--timeout", type=float, default=120.0,
+                   help="wall budget for the permutation scan or the exact search (s)")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_solve_set)
 

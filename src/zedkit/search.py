@@ -13,6 +13,11 @@ C = TypeVar("C")
 D = TypeVar("D")
 
 
+def timeout_error(timeout_s: float) -> SearchTimeoutError:
+    """The error every exact search raises once its timeout_s budget is spent."""
+    return SearchTimeoutError(f"exceeded the {timeout_s:g}s budget")
+
+
 def backjump_search(
     domains: Sequence[D], degree: Sequence[int], keep: Callable[[C, D], D], timeout_s: float
 ) -> list[C] | None:
@@ -48,7 +53,7 @@ def backjump_search(
         """True on success (bindings left in place); otherwise a conflict set
         of bound items under which the failure persists."""
         if time.monotonic() > deadline:
-            raise SearchTimeoutError(f"exceeded the {timeout_s:.0f}s budget")
+            raise timeout_error(timeout_s)
         if not pending:
             return True
         pick = best = None

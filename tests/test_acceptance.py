@@ -297,7 +297,7 @@ def test_criterion_10_complexity_smoke():
     f1 = SetGenome.of({1, 9}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
     f2 = SetGenome.of({1}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
     with stopwatch() as sw_fpt:
-        assert not zed_set_fpt(f1, f2, max_k=8).answer  # scans all 8! pairings
+        assert not zed_set_fpt(f1, f2).answer  # scans all 8! pairings
     assert sw_fpt.elapsed < 10.0
 
     # hosts {h, h+1} plus {k} with singleton blocks: augmenting paths k steps long

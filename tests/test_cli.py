@@ -106,13 +106,14 @@ def test_solve_set_worked_example(set_files, tmp_path, capsys):
     assert main(["verify", "--variant", "set", *set_files, str(cert)]) == 0
 
 
-def test_solve_set_gene_in_every_chromosome(tmp_path, capsys):
-    # gene 1 has 10 x 10 covering pairs; only the reversed pairing covers the
-    # rest, the last of the 10! pairings in scan order
+@pytest.mark.parametrize("k", [10, 12])
+def test_solve_set_gene_in_every_chromosome(tmp_path, capsys, k):
+    # gene 1 has k x k covering pairs; only the reversed pairing covers the
+    # rest, the last of the k! pairings in scan order
     a = tmp_path / "a.set"
     b = tmp_path / "b.set"
-    a.write_text("".join(f"1 {g}\n" for g in range(2, 12)))
-    b.write_text("".join(f"1 {g}\n" for g in range(11, 1, -1)))
+    a.write_text("".join(f"1 {g}\n" for g in range(2, k + 2)))
+    b.write_text("".join(f"1 {g}\n" for g in range(k + 1, 1, -1)))
     assert main(["solve-set", str(a), str(b)]) == 0
     assert capsys.readouterr().out.startswith("YES exact")
 
@@ -327,8 +328,10 @@ def test_selftest_small_run(capsys):
     assert "all suites agree" in out
 
 
-def test_usage_errors(tmp_path, seq_files):
+def test_usage_errors(tmp_path, seq_files, set_files):
     assert main(["solve-seq", *seq_files, "--mode", "bogus"]) == 2
+    assert main(["solve-set", *set_files, "--timeout", "nan"]) == 2
+    assert main(["solve-set", *set_files, "--timeout", "inf"]) == 2
     assert main(["no-such-command"]) == 2
     missing = str(tmp_path / "nope.seq")
     assert main(["solve-seq", missing, missing]) == 2
@@ -337,5 +340,6 @@ def test_usage_errors(tmp_path, seq_files):
     assert main(["solve-seq", str(bad), str(bad)]) == 2
 
 
-def test_solve_set_timeout_exit_code(set_files):
-    assert main(["solve-set", *set_files, "--mode", "exact", "--timeout", "-1"]) == 4
+@pytest.mark.parametrize("mode", ["exact", "fpt"])
+def test_solve_set_timeout_exit_code(set_files, mode):
+    assert main(["solve-set", *set_files, "--mode", mode, "--timeout", "-1"]) == 4

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 import oracles
 from worked_examples import SET_CERT, SET_G1, SET_G2
 from zedkit import (
-    CapExceededError,
     InstanceClass,
     PreconditionViolatedError,
     SearchTimeoutError,
@@ -168,8 +167,8 @@ def test_zed_set_fpt_witness_is_lex_smallest():
 
 def test_zed_set_fpt_cap():
     g1, g2 = random_set_pair(7, 12, 12, max_occ=2)
-    with pytest.raises(CapExceededError):
-        zed_set_fpt(g1, g2, max_k=4)
+    with pytest.raises(SearchTimeoutError):
+        zed_set_fpt(g1, g2, timeout_s=-1.0)
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -206,10 +205,17 @@ def test_zed_set_exact_timeout_is_distinct_from_no():
         zed_set_exact(SET_G1, SET_G2, timeout_s=-1.0)
 
 
+@pytest.mark.parametrize("search", [zed_set_fpt, zed_set_exact])
+def test_timeout_message_names_the_budget_as_given(search):
+    with pytest.raises(SearchTimeoutError, match=r"exceeded the -0\.4s budget"):
+        search(SET_G1, SET_G2, timeout_s=-0.4)
+
+
 def test_zed_set_exact_candidate_cap():
     g = SetGenome.of(*({1} for _ in range(9)))
-    with pytest.raises(CapExceededError):
-        zed_set_exact(g, g, max_candidates_per_gene=80)
+    dec = zed_set_exact(g, g)
+    assert dec.answer
+    assert verify_set_certificate(g, g, dec.certificate).ok
 
 
 @pytest.mark.parametrize("seed", range(80))
