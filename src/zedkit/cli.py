@@ -268,11 +268,11 @@ def _bench_scenarios():
     t1, t2 = random_set_pair(2024, 20000, 2000, special=True)
     yield "matching k=2000 |S|=20000", 5.0, lambda: zed_set_matching(t1, t2)
 
-    # gene 9 occurs only in the left genome, so every one of the 8! pairings
-    # is scanned before answering NO
+    # genes 1 and 2 share a left chromosome but no right one, so every one of
+    # the 8! pairings is scanned before answering NO
     from .model import SetGenome
 
-    f1 = SetGenome.of({1, 9}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
+    f1 = SetGenome.of({1, 2}, {3}, {4}, {5}, {6}, {7}, {8})
     f2 = SetGenome.of({1}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
     yield "permutation scan k=8", 10.0, lambda: zed_set_fpt(f1, f2)
 

@@ -106,65 +106,54 @@ class GeneNameTable:
         return len(self.role_of)
 
 
-def _literal_occurrences(phi: CnfFormula):
-    """Per variable, the (clause, slot) positions of its positive and negative
-    literals, in ascending clause order then slot order."""
-    pos: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, phi.n_vars + 1)}
-    neg: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, phi.n_vars + 1)}
-    for j, cl in enumerate(phi.clauses, start=1):
-        for slot, lit in enumerate(cl):
-            (pos if lit.positive else neg)[lit.variable].append((j, slot))
-    return pos, neg
+class _Layout:
+    """Family numbering of a reduction, by position in its role list.
 
-
-class _SeqLayout:
-    """Canonical family numbering for the ordered-genome reduction.
-
-    x_i = i, y_i = n + i, the separator z = 2n + 1, clause genes a/b/c of
-    clause j at 2n + 1 + 3(j-1) + {1,2,3}, literal genes r/s/t of clause j at
-    2n + 3m + 1 + 3(j-1) + {1,2,3}.
+    The head roles take families 1..h, so x_i = i.  The clause genes of clause
+    j take the next w = len(clause_roles) families from h + w(j-1) + 1, and
+    the literal genes r/s/t of every clause follow all clause genes, three per
+    clause in clause order.  pos[v] and neg[v] hold the literal genes of
+    variable v's positive and negative occurrences, in ascending order.
     """
 
-    def __init__(self, phi: CnfFormula):
-        self.phi = phi
+    def __init__(self, phi: CnfFormula, head: list[str], clause_roles: tuple[str, ...]):
         self.n = phi.n_vars
         self.m = len(phi.clauses)
-        self.pos, self.neg = _literal_occurrences(phi)
+        self.head = head
+        self.clause_roles = clause_roles
+        self.first_literal = len(head) + len(clause_roles) * self.m + 1
+        self.pos: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
+        self.neg: dict[int, list[int]] = {v: [] for v in range(1, self.n + 1)}
+        gene = self.first_literal
+        for cl in phi.clauses:
+            for lit in cl:
+                (self.pos if lit.positive else self.neg)[lit.variable].append(gene)
+                gene += 1
 
-    def x(self, i: int) -> int:
-        return i
+    def clause_genes(self, j: int) -> range:
+        width = len(self.clause_roles)
+        start = len(self.head) + width * (j - 1) + 1
+        return range(start, start + width)
 
-    def y(self, i: int) -> int:
-        return self.n + i
-
-    @property
-    def z(self) -> int:
-        return 2 * self.n + 1
-
-    def clause_gene(self, j: int, slot: int) -> int:
-        return 2 * self.n + 1 + 3 * (j - 1) + slot + 1
-
-    def literal_gene(self, j: int, slot: int) -> int:
-        return 2 * self.n + 3 * self.m + 1 + 3 * (j - 1) + slot + 1
-
-    def positive_genes(self, i: int) -> list[int]:
-        return [self.literal_gene(j, s) for j, s in self.pos[i]]
-
-    def negative_genes(self, i: int) -> list[int]:
-        return [self.literal_gene(j, s) for j, s in self.neg[i]]
+    def literal_genes(self, j: int) -> range:
+        start = self.first_literal + 3 * (j - 1)
+        return range(start, start + 3)
 
     def name_table(self) -> GeneNameTable:
-        roles: dict[int, str] = {}
-        for i in range(1, self.n + 1):
-            roles[self.x(i)] = f"x_{i}"
-            roles[self.y(i)] = f"y_{i}"
-        roles[self.z] = "z"
-        for j in range(1, self.m + 1):
-            for slot, nm in enumerate("abc"):
-                roles[self.clause_gene(j, slot)] = f"{nm}_{j}"
-            for slot, nm in enumerate("rst"):
-                roles[self.literal_gene(j, slot)] = f"{nm}_{j}"
-        return GeneNameTable(roles)
+        roles = list(self.head)
+        for names in (self.clause_roles, ("r", "s", "t")):
+            roles += [f"{nm}_{j}" for j in range(1, self.m + 1) for nm in names]
+        return GeneNameTable(dict(enumerate(roles, start=1)))
+
+
+def _seq_layout(phi: CnfFormula) -> _Layout:
+    heads = [f"{v}_{i}" for v in "xy" for i in range(1, phi.n_vars + 1)]
+    return _Layout(phi, [*heads, "z"], ("a", "b", "c"))
+
+
+def _set_layout(phi: CnfFormula) -> _Layout:
+    heads = [f"x_{i}" for i in range(1, phi.n_vars + 1)]
+    return _Layout(phi, heads, ("a", "b", "c", "a'", "b'", "c'"))
 
 
 def reduce_3sat_to_seq_zed(phi: CnfFormula) -> tuple[SeqGenome, SeqGenome, GeneNameTable]:
@@ -177,21 +166,24 @@ def reduce_3sat_to_seq_zed(phi: CnfFormula) -> tuple[SeqGenome, SeqGenome, GeneN
     gadgets; per clause, the genomes carry r a b c s a b c t and
     a r b a s c b t c.  All genes are positive, each family occurs at most
     twice per genome, and each genome has exactly 3n + 12m + 1 genes.
+
+    Families: x_i = i, y_i = n + i, z = 2n + 1, a/b/c of clause j at
+    2n + 1 + 3(j-1) + {1,2,3}, r/s/t of clause j at 2n + 3m + 1 + 3(j-1) +
+    {1,2,3}.
     """
-    lay = _SeqLayout(phi)
+    lay = _seq_layout(phi)
+    n = lay.n
     g1: list[int] = []
     g2: list[int] = []
-    for i in range(1, lay.n + 1):
-        ps = lay.positive_genes(i)
-        qs = lay.negative_genes(i)
-        x, y = lay.x(i), lay.y(i)
+    for x in range(1, n + 1):
+        ps, qs, y = lay.pos[x], lay.neg[x], n + x
         g1 += [y, *ps, x, *qs, y]
         g2 += [*ps, x, y, x, *qs]
-    g1.append(lay.z)
-    g2.append(lay.z)
+    g1.append(2 * n + 1)
+    g2.append(2 * n + 1)
     for j in range(1, lay.m + 1):
-        a, b, c = (lay.clause_gene(j, s) for s in range(3))
-        r, s, t = (lay.literal_gene(j, s) for s in range(3))
+        a, b, c = lay.clause_genes(j)
+        r, s, t = lay.literal_genes(j)
         g1 += [r, a, b, c, s, a, b, c, t]
         g2 += [a, r, b, a, s, c, b, t, c]
     return SeqGenome(tuple(g1)), SeqGenome(tuple(g2)), lay.name_table()
@@ -200,7 +192,7 @@ def reduce_3sat_to_seq_zed(phi: CnfFormula) -> tuple[SeqGenome, SeqGenome, GeneN
 def _taken_literal_genes(lay, sigma: Assignment) -> set[int]:
     taken: set[int] = set()
     for i in range(1, lay.n + 1):
-        taken.update(lay.positive_genes(i) if sigma[i] else lay.negative_genes(i))
+        taken.update(lay.pos[i] if sigma[i] else lay.neg[i])
     return taken
 
 
@@ -216,19 +208,19 @@ def seq_certificate_from_assignment(phi: CnfFormula, sigma: Assignment) -> SeqGe
     """
     if not eval_assignment(phi, sigma):
         raise PreconditionViolatedError("assignment does not satisfy the formula")
-    lay = _SeqLayout(phi)
+    lay = _seq_layout(phi)
+    n = lay.n
     taken = _taken_literal_genes(lay, sigma)
     out: list[int] = []
-    for i in range(1, lay.n + 1):
-        x, y = lay.x(i), lay.y(i)
-        if sigma[i]:
-            out += [*lay.positive_genes(i), x, y]
+    for x in range(1, n + 1):
+        if sigma[x]:
+            out += [*lay.pos[x], x, n + x]
         else:
-            out += [y, x, *lay.negative_genes(i)]
-    out.append(lay.z)
+            out += [n + x, x, *lay.neg[x]]
+    out.append(2 * n + 1)
     for j in range(1, lay.m + 1):
-        a, b, c = (lay.clause_gene(j, s) for s in range(3))
-        r, s, t = (lay.literal_gene(j, s) for s in range(3))
+        a, b, c = lay.clause_genes(j)
+        r, s, t = lay.literal_genes(j)
         # (gene, skip-if-taken) patterns; one of r/s/t is always taken since
         # the clause is satisfied
         if r in taken:
@@ -251,50 +243,9 @@ def assignment_from_seq_certificate(phi: CnfFormula, cert: SeqGenome) -> Assignm
     check = verify_seq_certificate(g1, g2, cert)
     if not check:
         raise PreconditionViolatedError(f"certificate rejected: {check.reason}")
-    lay = _SeqLayout(phi)
+    n = phi.n_vars
     index = {abs(g): k for k, g in enumerate(cert.genes)}
-    return {i: index[lay.x(i)] < index[lay.y(i)] for i in range(1, lay.n + 1)}
-
-
-class _SetLayout:
-    """Canonical family numbering for the unordered-genome reduction.
-
-    x_i = i, clause genes a/b/c/a'/b'/c' of clause j at n + 6(j-1) + {1..6},
-    literal genes r/s/t of clause j at n + 6m + 3(j-1) + {1,2,3}.
-    """
-
-    def __init__(self, phi: CnfFormula):
-        self.phi = phi
-        self.n = phi.n_vars
-        self.m = len(phi.clauses)
-        self.pos, self.neg = _literal_occurrences(phi)
-
-    def x(self, i: int) -> int:
-        return i
-
-    def clause_gene(self, j: int, slot: int) -> int:
-        # slot 0..5 -> a, b, c, a', b', c'
-        return self.n + 6 * (j - 1) + slot + 1
-
-    def literal_gene(self, j: int, slot: int) -> int:
-        return self.n + 6 * self.m + 3 * (j - 1) + slot + 1
-
-    def positive_genes(self, i: int) -> list[int]:
-        return [self.literal_gene(j, s) for j, s in self.pos[i]]
-
-    def negative_genes(self, i: int) -> list[int]:
-        return [self.literal_gene(j, s) for j, s in self.neg[i]]
-
-    def name_table(self) -> GeneNameTable:
-        roles: dict[int, str] = {}
-        for i in range(1, self.n + 1):
-            roles[self.x(i)] = f"x_{i}"
-        for j in range(1, self.m + 1):
-            for slot, nm in enumerate(("a", "b", "c", "a'", "b'", "c'")):
-                roles[self.clause_gene(j, slot)] = f"{nm}_{j}"
-            for slot, nm in enumerate("rst"):
-                roles[self.literal_gene(j, slot)] = f"{nm}_{j}"
-        return GeneNameTable(roles)
+    return {i: index[i] < index[n + i] for i in range(1, n + 1)}
 
 
 def reduce_3sat_to_set_zed(phi: CnfFormula) -> tuple[SetGenome, SetGenome, GeneNameTable]:
@@ -306,22 +257,23 @@ def reduce_3sat_to_set_zed(phi: CnfFormula) -> tuple[SetGenome, SetGenome, GeneN
     {a,b} {b,c} {c,a} {a',r} {b',s} {c',t} and the second {a,b,c} {a,a',r}
     {b,b',s} {c,c',t} {a'} {b'} {c'}.  Each family occurs at most twice per
     genome; totals are n + 15m and 2n + 18m genes.
+
+    Families: x_i = i, a/b/c/a'/b'/c' of clause j at n + 6(j-1) + {1..6},
+    r/s/t of clause j at n + 6m + 3(j-1) + {1,2,3}.
     """
     if not phi.distinct_vars_per_clause:
         raise PreconditionViolatedError("a clause repeats a variable")
-    lay = _SetLayout(phi)
+    lay = _set_layout(phi)
     g1: list[frozenset[int]] = []
     g2: list[frozenset[int]] = []
-    for i in range(1, lay.n + 1):
-        ps = lay.positive_genes(i)
-        qs = lay.negative_genes(i)
-        x = lay.x(i)
+    for x in range(1, lay.n + 1):
+        ps, qs = lay.pos[x], lay.neg[x]
         g1.append(frozenset([*ps, x, *qs]))
         g2.append(frozenset([*ps, x]))
         g2.append(frozenset([x, *qs]))
     for j in range(1, lay.m + 1):
-        a, b, c, a2, b2, c2 = (lay.clause_gene(j, s) for s in range(6))
-        r, s, t = (lay.literal_gene(j, s) for s in range(3))
+        a, b, c, a2, b2, c2 = lay.clause_genes(j)
+        r, s, t = lay.literal_genes(j)
         g1 += [
             frozenset({a, b}),
             frozenset({b, c}),
@@ -355,18 +307,17 @@ def set_certificate_from_assignment(phi: CnfFormula, sigma: Assignment) -> SetGe
         raise PreconditionViolatedError("a clause repeats a variable")
     if not eval_assignment(phi, sigma):
         raise PreconditionViolatedError("assignment does not satisfy the formula")
-    lay = _SetLayout(phi)
+    lay = _set_layout(phi)
     taken = _taken_literal_genes(lay, sigma)
     blocks: list[frozenset[int]] = []
-    for i in range(1, lay.n + 1):
-        x = lay.x(i)
-        if sigma[i]:
-            blocks.append(frozenset([*lay.positive_genes(i), x]))
+    for x in range(1, lay.n + 1):
+        if sigma[x]:
+            blocks.append(frozenset([*lay.pos[x], x]))
         else:
-            blocks.append(frozenset([x, *lay.negative_genes(i)]))
+            blocks.append(frozenset([x, *lay.neg[x]]))
     for j in range(1, lay.m + 1):
-        a, b, c, a2, b2, c2 = (lay.clause_gene(j, s) for s in range(6))
-        r, s, t = (lay.literal_gene(j, s) for s in range(3))
+        a, b, c, a2, b2, c2 = lay.clause_genes(j)
+        r, s, t = lay.literal_genes(j)
 
         def block(anchor: int, lit: int | None) -> frozenset[int]:
             if lit is None or lit in taken:
@@ -393,12 +344,9 @@ def assignment_from_set_certificate(phi: CnfFormula, cert: SetGenome) -> Assignm
     check = verify_set_certificate(g1, g2, cert)
     if not check:
         raise PreconditionViolatedError(f"certificate rejected: {check.reason}")
-    lay = _SetLayout(phi)
+    lay = _set_layout(phi)
     home: dict[int, frozenset[int]] = {}
     for block in cert.chromosomes:
         for g in block:
             home[g] = block
-    return {
-        i: bool(home[lay.x(i)] & set(lay.positive_genes(i)))
-        for i in range(1, lay.n + 1)
-    }
+    return {i: not home[i].isdisjoint(lay.pos[i]) for i in range(1, lay.n + 1)}

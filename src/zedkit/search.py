@@ -3,6 +3,7 @@ their own domains and compatibility filters."""
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from typing import Callable, Sequence, TypeVar
@@ -16,6 +17,16 @@ D = TypeVar("D")
 def timeout_error(timeout_s: float) -> SearchTimeoutError:
     """The error every exact search raises once its timeout_s budget is spent."""
     return SearchTimeoutError(f"exceeded the {timeout_s:g}s budget")
+
+
+def deadline(timeout_s: float) -> float:
+    """The time.monotonic() reading at which a timeout_s budget runs out.
+
+    inf means no limit; NaN is refused, because every comparison with it is
+    false and it would switch the clock off."""
+    if math.isnan(timeout_s):
+        raise ValueError("timeout_s must be a number of seconds, not NaN")
+    return time.monotonic() + timeout_s
 
 
 def backjump_search(
@@ -37,10 +48,11 @@ def backjump_search(
     keep and records the binding as a pruner of each domain it shrank.  A
     domain wiped out returns its pruners as the conflict set, and a failed
     subtree whose conflict set misses the current item is jumped over.  Raises
-    SearchTimeoutError (not a NO answer) once timeout_s seconds have passed.
+    SearchTimeoutError (not a NO answer) once timeout_s seconds have passed,
+    ValueError when timeout_s is NaN.
     """
     n = len(domains)
-    deadline = time.monotonic() + timeout_s
+    stop = deadline(timeout_s)
     live = list(domains)
     sizes = [len(d) for d in domains]
     pruners: list[list[int]] = [[] for _ in range(n)]
@@ -52,7 +64,7 @@ def backjump_search(
     def solve(pending: list[int]):
         """True on success (bindings left in place); otherwise a conflict set
         of bound items under which the failure persists."""
-        if time.monotonic() > deadline:
+        if time.monotonic() > stop:
             raise timeout_error(timeout_s)
         if not pending:
             return True

@@ -30,7 +30,7 @@ from .model import (
     SetGenome,
     classify_instance,
 )
-from .search import backjump_search, timeout_error
+from .search import backjump_search, deadline, timeout_error
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,15 @@ def zed_set_fpt(g1: SetGenome, g2: SetGenome, *, timeout_s: float = 120.0) -> Se
     chromosomes), scan all k! pairings of chromosomes for one whose
     intersections cover every gene.  The witness is the lexicographically
     smallest covering permutation; the certificate keeps each gene only in its
-    lowest-index covering pair, so it is a partition.  Raises
-    SearchTimeoutError (not a NO answer) once timeout_s seconds have passed."""
-    deadline = time.monotonic() + timeout_s
+    lowest-index covering pair, so it is a partition.  Genomes over different
+    gene sets answer NO at once.  Raises SearchTimeoutError (not a NO answer)
+    once timeout_s seconds have passed, ValueError when timeout_s is NaN."""
+    stop = deadline(timeout_s)
+    if g1.ground_set != g2.ground_set:
+        return SetDecision(False)
     k = max(len(g1.chromosomes), len(g2.chromosomes))
     reduced = build_intersection_graph(g1, g2).reduced
-    universe = sorted(g1.ground_set | g2.ground_set)
+    universe = sorted(g1.ground_set)
     position = {f: x for x, f in enumerate(universe)}
     inter = [[0] * k for _ in range(k)]  # bitmask of each intersection over universe
     for (i, j), block in reduced.items():
@@ -151,7 +154,7 @@ def zed_set_fpt(g1: SetGenome, g2: SetGenome, *, timeout_s: float = 120.0) -> Se
     # the clock is read once per batch of 4096 pairings: a read per pairing,
     # even behind a counter test, slows the scan by a tenth or more
     for _ in range(0, math.factorial(k), 4096):
-        if time.monotonic() > deadline:
+        if time.monotonic() > stop:
             raise timeout_error(timeout_s)
         for perm in itertools.islice(scan, 4096):
             acc = 0

@@ -102,6 +102,12 @@ def test_seq_reduction_size_invariants(phi):
         assert max(profile.values()) <= 2
         assert profile[table.family("z")] == 1
     assert all(g > 0 for g in g1.genes) and all(g > 0 for g in g2.genes)
+    for i in range(1, n + 1):
+        assert table.family(f"x_{i}") == i and table.family(f"y_{i}") == n + i
+    assert table.family("z") == 2 * n + 1
+    for j in range(1, m + 1):
+        assert table.family(f"a_{j}") == 2 * n + 1 + 3 * (j - 1) + 1
+        assert table.family(f"r_{j}") == 2 * n + 3 * m + 1 + 3 * (j - 1) + 1
 
 
 def test_seq_certificate_matches_golden_file(data_dir):
@@ -192,6 +198,12 @@ def test_set_reduction_size_invariants(phi):
     assert len(g1.ground_set) == len(g2.ground_set) == n + 9 * m == len(table)
     for profile in (occurrence_profile(g1), occurrence_profile(g2)):
         assert max(profile.values()) <= 2
+    for i in range(1, n + 1):
+        assert table.family(f"x_{i}") == i
+    for j in range(1, m + 1):
+        assert table.family(f"a_{j}") == n + 6 * (j - 1) + 1
+        assert table.family(f"a'_{j}") == n + 6 * (j - 1) + 4
+        assert table.family(f"r_{j}") == n + 6 * m + 3 * (j - 1) + 1
 
 
 def test_set_certificate_matches_golden_file(data_dir):

@@ -165,6 +165,13 @@ def test_zed_set_fpt_witness_is_lex_smallest():
     assert zed_set_fpt(g, g).witness_permutation == (0, 1)
 
 
+def test_zed_set_fpt_different_gene_sets_answer_no_at_once():
+    # gene 13 lies in no intersection, so none of the 12! pairings covers it
+    g1 = SetGenome.of({1, 13}, *({g} for g in range(2, 13)))
+    g2 = SetGenome.of(*({g} for g in range(1, 13)))
+    assert not zed_set_fpt(g1, g2, timeout_s=1.0).answer
+
+
 def test_zed_set_fpt_cap():
     g1, g2 = random_set_pair(7, 12, 12, max_occ=2)
     with pytest.raises(SearchTimeoutError):
@@ -209,6 +216,12 @@ def test_zed_set_exact_timeout_is_distinct_from_no():
 def test_timeout_message_names_the_budget_as_given(search):
     with pytest.raises(SearchTimeoutError, match=r"exceeded the -0\.4s budget"):
         search(SET_G1, SET_G2, timeout_s=-0.4)
+
+
+@pytest.mark.parametrize("search", [zed_set_fpt, zed_set_exact, solve_set])
+def test_nan_budget_is_refused(search):
+    with pytest.raises(ValueError, match="NaN"):
+        search(SET_G1, SET_G2, timeout_s=float("nan"))
 
 
 def test_zed_set_exact_candidate_cap():
