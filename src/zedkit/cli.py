@@ -23,6 +23,7 @@ from .formats import (
     emit_seq_genome,
     emit_set_genome,
     parse_dimacs3,
+    parse_family_ids,
     parse_seq_genome,
     parse_set_genome,
 )
@@ -117,7 +118,10 @@ def _cmd_solve_set(args) -> int:
 def _cmd_elcs(args) -> int:
     a = parse_seq_genome(_read(args.a))
     b = parse_seq_genome(_read(args.b))
-    mandatory = frozenset(int(tok) for tok in args.mandatory.replace(",", " ").split())
+    try:
+        mandatory = parse_family_ids(args.mandatory)
+    except ParseError as exc:
+        raise ValueError(f"--mandatory: {exc}") from exc
     alphabet = Alphabet.from_mandatory(mandatory, a.families | b.families)
     t0 = time.perf_counter()
     if args.mode == "special":
@@ -190,12 +194,6 @@ def _cmd_sat(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "cnf":
-        if args.vars < 1 or args.clauses < 0:
-            print("gen cnf: need --vars >= 1 and --clauses >= 0", file=sys.stderr)
-            return EXIT_USAGE
-        if args.distinct_vars and args.vars < 3:
-            print("gen cnf: --distinct-vars needs --vars >= 3", file=sys.stderr)
-            return EXIT_USAGE
         text = emit_dimacs3(
             random_cnf(args.seed, args.vars, args.clauses, distinct_vars=args.distinct_vars)
         )
@@ -206,9 +204,6 @@ def _cmd_gen(args) -> int:
         return EXIT_YES
     if not args.out:
         print(f"gen {args.kind}: --out PREFIX is required", file=sys.stderr)
-        return EXIT_USAGE
-    if args.families < 1:
-        print("gen: need --families >= 1", file=sys.stderr)
         return EXIT_USAGE
     if args.kind == "seq":
         g1, g2 = random_seq_pair(
@@ -221,9 +216,6 @@ def _cmd_gen(args) -> int:
         _write(f"{args.out}.g1", emit_seq_genome(g1))
         _write(f"{args.out}.g2", emit_seq_genome(g2))
     else:
-        if args.chromosomes < 1:
-            print("gen set: need --chromosomes >= 1", file=sys.stderr)
-            return EXIT_USAGE
         g1, g2 = random_set_pair(
             args.seed,
             args.families,

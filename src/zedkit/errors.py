@@ -7,10 +7,6 @@ class ZedError(Exception):
     """Base class for all toolkit errors."""
 
 
-class FamilyMismatchError(ZedError):
-    """A gene family present in one genome is absent from the other."""
-
-
 class PreconditionViolatedError(ZedError):
     """An operation was invoked outside its documented special case."""
 

@@ -46,6 +46,16 @@ def _integer(tok: str, pattern: re.Pattern, line: int, column: int, what: str) -
         _fail(line, column, MALFORMED_TOKEN, f"integer of {len(tok)} characters is too long")
 
 
+def _gene(tok: str, pattern: re.Pattern, line: int, column: int, what: str) -> int:
+    """tok as a gene: an integer matching pattern whose family is 1..MAX_FAMILY."""
+    value = _integer(tok, pattern, line, column, what)
+    if value == 0:
+        _fail(line, column, ZERO_GENE, "gene 0 is reserved")
+    if abs(value) > MAX_FAMILY:
+        _fail(line, column, MALFORMED_TOKEN, f"family {abs(value)} exceeds the 32-bit bound")
+    return value
+
+
 def _text(data) -> str:
     if not isinstance(data, (bytes, bytearray)):
         return data
@@ -73,12 +83,7 @@ def parse_seq_genome(data) -> SeqGenome:
     for lineno, line in _data_lines(_text(data)):
         for match in _TOKEN.finditer(line):
             tok, col = match.group(), match.start() + 1
-            value = _integer(tok, _SIGNED_INT, lineno, col, "a signed integer")
-            if value == 0:
-                _fail(lineno, col, ZERO_GENE, "gene 0 is reserved")
-            if abs(value) > MAX_FAMILY:
-                _fail(lineno, col, MALFORMED_TOKEN, f"family {abs(value)} exceeds the 32-bit bound")
-            genes.append(value)
+            genes.append(_gene(tok, _SIGNED_INT, lineno, col, "a signed integer"))
     if not genes:
         _fail(1, 1, EMPTY_INPUT, "no genes in input")
     return SeqGenome(tuple(genes))
@@ -103,16 +108,19 @@ def parse_set_genome(data) -> SetGenome:
         members: set[int] = set()
         for match in matches:
             tok, col = match.group(), match.start() + 1
-            value = _integer(tok, _UNSIGNED_INT, lineno, col, "a positive integer")
-            if value == 0:
-                _fail(lineno, col, ZERO_GENE, "gene 0 is reserved")
-            if value > MAX_FAMILY:
-                _fail(lineno, col, MALFORMED_TOKEN, f"family {value} exceeds the 32-bit bound")
+            value = _gene(tok, _UNSIGNED_INT, lineno, col, "a positive integer")
             if value in members:
                 _fail(lineno, col, DUPLICATE_IN_CHROMOSOME, f"family {value} repeated in one chromosome")
             members.add(value)
         chromosomes.append(frozenset(members))
     return SetGenome(tuple(chromosomes))
+
+
+def parse_family_ids(text: str) -> list[int]:
+    """Family ids separated by commas or white space, each written as the
+    genome parsers accept it: ASCII digits, 1..MAX_FAMILY."""
+    return [_gene(m.group(), _UNSIGNED_INT, 1, m.start() + 1, "a positive family id")
+            for m in _TOKEN.finditer(text.replace(",", " "))]
 
 
 def emit_set_genome(genome: SetGenome) -> str:
@@ -198,9 +206,7 @@ def parse_name_table(data) -> GeneNameTable:
         if len(parts) != 2:
             _fail(lineno, 1, MALFORMED_TOKEN, "expected 'family<TAB>role'")
         fam_str, role = parts
-        fam = _integer(fam_str.strip(), _UNSIGNED_INT, lineno, 1, "a family id")
-        if fam < 1:
-            _fail(lineno, 1, MALFORMED_TOKEN, f"bad family id {fam_str!r}")
+        fam = _gene(fam_str.strip(), _UNSIGNED_INT, lineno, 1, "a family id")
         if not role:
             _fail(lineno, len(fam_str) + 2, MALFORMED_TOKEN, "empty role name")
         if fam in roles or role in seen_roles:

@@ -89,8 +89,8 @@ class SplitMix64:
 def random_cnf(seed: int, n_vars: int, n_clauses: int, *, distinct_vars: bool = False) -> CnfFormula:
     """Random 3-CNF; with distinct_vars the three literals of a clause use
     three different variables (requires n_vars >= 3)."""
-    if n_vars < 1:
-        raise ValueError("need at least one variable")
+    if n_vars < 1 or n_clauses < 0:
+        raise ValueError("need at least one variable and a non-negative number of clauses")
     if distinct_vars and n_vars < 3:
         raise ValueError("distinct-variable clauses need at least 3 variables")
     rng = SplitMix64(seed)
@@ -127,6 +127,8 @@ def _ramps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _occurrence_counts(rng: SplitMix64, n_families: int, max_occ: int, special: bool):
     """Per-family (count in g1, count in g2); with special, at least one side is 1."""
+    if n_families < 1 or max_occ < 1:
+        raise ValueError("need at least one family and a maximum occurrence count of at least 1")
     counts = []
     for _ in range(n_families):
         if special:

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Union
 
-from .errors import FamilyMismatchError
-
 # Family ids are positive 32-bit integers; 0 is reserved as a terminator in
 # external formats.
 MAX_FAMILY = 2**31 - 1
@@ -127,6 +125,7 @@ Genome = Union[SeqGenome, SetGenome]
 class InstanceClass(Enum):
     """Mutually exclusive instance categories, most restrictive first."""
 
+    FAMILY_MISMATCH = "family-mismatch"
     BOTH_EXEMPLAR = "both-exemplar"
     ONE_SIDE_DUPLICATE_FREE = "one-side-duplicate-free"
     PER_GENE_SPECIAL = "per-gene-special"
@@ -143,15 +142,12 @@ def occurrence_profile(genome: Genome) -> Counter:
 def classify_instance(g1: Genome, g2: Genome) -> InstanceClass:
     """Classify a genome pair by its duplicate-gene distribution.
 
-    Raises FamilyMismatchError if the two genomes do not share the same family
-    universe; solvers map that to an immediate NO.
+    A pair whose genomes do not hold the same families is FAMILY_MISMATCH:
+    no common exemplar genome exists, and every solver answers it NO.
     """
     p1, p2 = occurrence_profile(g1), occurrence_profile(g2)
     if p1.keys() != p2.keys():
-        odd = sorted(p1.keys() ^ p2.keys())
-        raise FamilyMismatchError(
-            f"families not shared by both genomes: {odd[:5]}{'...' if len(odd) > 5 else ''}"
-        )
+        return InstanceClass.FAMILY_MISMATCH
     ex1 = all(c == 1 for c in p1.values())
     ex2 = all(c == 1 for c in p2.values())
     if ex1 and ex2:

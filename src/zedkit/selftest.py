@@ -114,6 +114,7 @@ SUITES: tuple[tuple[str, Callable[[int], str | None]], ...] = (
     ("set-three-way", _set_three_way),
     ("set-fpt-vs-exact", _set_fpt_vs_exact),
 )
+BASE_SEED = 987_654
 
 
 @dataclass
@@ -128,9 +129,8 @@ def run_selftest(
     *,
     min_cases: int = 10,
     max_cases: int = 100,
-    base_seed: int = 987_654,
 ) -> SelftestReport:
-    """Round-robin the suites on seeds base_seed, base_seed+1, ... until each
+    """Round-robin the suites on seeds BASE_SEED, BASE_SEED+1, ... until each
     has run max_cases or the budget runs out."""
     report = SelftestReport(cases={name: 0 for name, _ in SUITES})
     deadline = time.monotonic() + budget_s
@@ -142,7 +142,7 @@ def run_selftest(
         for name, fn in SUITES:
             if report.cases[name] >= max_cases:
                 continue
-            seed = base_seed + case
+            seed = BASE_SEED + case
             problem = fn(seed)
             report.cases[name] += 1
             if problem is not None:

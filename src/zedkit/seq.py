@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     CapExceededError,
-    FamilyMismatchError,
     MissingWeightError,
     PreconditionViolatedError,
 )
@@ -44,11 +43,9 @@ class SeqDecision:
 
 @dataclass(frozen=True)
 class WeightAssignment:
-    """Non-negative per-family weights; mandatory_weight records the weight
-    applied to mandatory symbols when built for constrained maximization."""
+    """Non-negative per-family weights."""
 
     weight_of: Mapping[int, int]
-    mandatory_weight: int = 1
 
     def __post_init__(self):
         for f, w in self.weight_of.items():
@@ -57,7 +54,7 @@ class WeightAssignment:
 
     @classmethod
     def uniform(cls, families, weight: int = 1) -> "WeightAssignment":
-        return cls({f: weight for f in families}, weight)
+        return cls({f: weight for f in families})
 
     @classmethod
     def elcs(cls, alphabet: Alphabet, a: SeqGenome, b: SeqGenome) -> "WeightAssignment":
@@ -65,7 +62,7 @@ class WeightAssignment:
         combined: min(len(a), len(b)) + 1 on mandatory families, 1 elsewhere."""
         w = min(len(a), len(b)) + 1
         families = a.families | b.families | alphabet.mandatory | alphabet.optional
-        return cls({f: (w if f in alphabet.mandatory else 1) for f in families}, w)
+        return cls({f: (w if f in alphabet.mandatory else 1) for f in families})
 
 
 def is_subsequence(x: SeqGenome, y: SeqGenome) -> bool:
@@ -133,11 +130,12 @@ def total_weight(genome: SeqGenome, weights: WeightAssignment) -> int:
 
 def zed_one_side_duplicate_free(exemplar_side: SeqGenome, other: SeqGenome) -> SeqDecision:
     """Linear-time decision when one genome is already duplicate-free: the
-    distance is zero iff that genome embeds into the other."""
+    distance is zero iff both hold the same families and that genome embeds
+    into the other."""
     dup = sorted(f for f, c in occurrence_profile(exemplar_side).items() if c > 1)
     if dup:
         raise PreconditionViolatedError(f"exemplar side repeats families {dup[:5]}")
-    if is_subsequence(exemplar_side, other):
+    if exemplar_side.families == other.families and is_subsequence(exemplar_side, other):
         return SeqDecision(True, exemplar_side)
     return SeqDecision(False)
 
@@ -187,11 +185,8 @@ def zed_seq_special(g1: SeqGenome, g2: SeqGenome) -> SeqDecision:
     one genome: distance zero iff the LCS covers all families.  When one
     genome is duplicate-free that LCS would have to be all of it, so the
     answer is g1 == g2 if both are, and otherwise whether the duplicate-free
-    side embeds into the other."""
-    try:
-        cls = classify_instance(g1, g2)
-    except FamilyMismatchError:
-        return SeqDecision(False)
+    side embeds into the other.  A family mismatch answers NO."""
+    cls = classify_instance(g1, g2)
     if cls is InstanceClass.GENERAL:
         raise PreconditionViolatedError(
             "instance is general: some family occurs at least twice in both genomes"
@@ -201,12 +196,13 @@ def zed_seq_special(g1: SeqGenome, g2: SeqGenome) -> SeqDecision:
 
 def _special_decision(g1: SeqGenome, g2: SeqGenome, cls: InstanceClass) -> SeqDecision:
     """zed_seq_special on a pair already classified as cls (not GENERAL)."""
+    if cls is InstanceClass.FAMILY_MISMATCH:
+        return SeqDecision(False)
     if cls is InstanceClass.BOTH_EXEMPLAR:
         return SeqDecision(True, g1) if g1.genes == g2.genes else SeqDecision(False)
     if cls is InstanceClass.ONE_SIDE_DUPLICATE_FREE:
-        if len(g1) == len(g1.families):
-            return zed_one_side_duplicate_free(g1, g2)
-        return zed_one_side_duplicate_free(g2, g1)
+        x, y = (g1, g2) if len(g1) == len(g1.families) else (g2, g1)
+        return zed_one_side_duplicate_free(x, y)
     cert = lcs(g1, g2)
     if len(cert) == len(g1.families):
         return SeqDecision(True, cert)
@@ -265,13 +261,10 @@ def zed_seq_exact(g1: SeqGenome, g2: SeqGenome, *, max_families: int = 25) -> Se
     signs included, and the chosen pairs must not cross (p < p' iff q < q');
     the genes at the chosen positions, read in order, are then a common
     exemplar subsequence.  Pairs are tried earliest first (by p + q) in the
-    forward-checking backjump search shared with the unordered solver.
+    forward-checking backjump search shared with the unordered solver.  A
+    family with no signed form in both genomes answers NO before the cap.
     """
     fams = sorted(g1.families | g2.families)
-    if len(fams) > max_families:
-        raise CapExceededError(f"{len(fams)} families exceeds the cap of {max_families}")
-    if g1.families != g2.families:
-        return SeqDecision(False)
     at1, at2 = {}, {}  # signed gene -> its positions in g1, g2
     for at, g in (at1, g1), (at2, g2):
         for p, v in enumerate(g.genes):
@@ -283,6 +276,8 @@ def zed_seq_exact(g1: SeqGenome, g2: SeqGenome, *, max_families: int = 25) -> Se
         if not cells:
             return SeqDecision(False)  # no signed form of f is in both genomes
         domains.append(_LivePairs(cells))
+    if len(fams) > max_families:
+        raise CapExceededError(f"{len(fams)} families exceeds the cap of {max_families}")
     # every two families constrain each other, so all degrees tie
     degree = [len(fams) - 1] * len(fams)
     chosen = backjump_search(domains, degree, _non_crossing, math.inf)
@@ -292,6 +287,7 @@ def zed_seq_exact(g1: SeqGenome, g2: SeqGenome, *, max_families: int = 25) -> Se
 
 
 _SEQ_ROUTES = {
+    InstanceClass.FAMILY_MISMATCH: "family-mismatch",
     InstanceClass.BOTH_EXEMPLAR: "equality",
     InstanceClass.ONE_SIDE_DUPLICATE_FREE: "subsequence",
     InstanceClass.PER_GENE_SPECIAL: "special",
@@ -313,10 +309,7 @@ def solve_seq(
         raise ValueError(f"unknown mode {mode!r} (expected auto, special or exact)")
     route = mode
     if mode == "auto":
-        try:
-            cls = classify_instance(g1, g2)
-        except FamilyMismatchError:
-            return "family-mismatch", SeqDecision(False)
+        cls = classify_instance(g1, g2)
         route = _SEQ_ROUTES[cls]
         if route != "exact":
             return route, _special_decision(g1, g2, cls)
@@ -332,13 +325,13 @@ def elcs_exact_oracle(
     occurrence counts: memoized over (position in a, position in b, set of
     mandatory families used), maximizing length and never reusing a mandatory
     family.  Returns None when no common subsequence covers all of them."""
+    if not (alphabet.mandatory <= a.families and alphabet.mandatory <= b.families):
+        return None
     mandatory = sorted(alphabet.mandatory)
     if len(mandatory) > max_mandatory:
         raise CapExceededError(
             f"{len(mandatory)} mandatory families exceeds the cap of {max_mandatory}"
         )
-    if not (alphabet.mandatory <= a.families and alphabet.mandatory <= b.families):
-        return None
     bit = {f: 1 << k for k, f in enumerate(mandatory)}
     full = (1 << len(mandatory)) - 1
     ga, gb = a.genes, b.genes

@@ -20,7 +20,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
-from .errors import FamilyMismatchError, PreconditionViolatedError
+from .errors import PreconditionViolatedError
 from .model import (
     NO_EMBEDDING_IN_G1,
     NO_EMBEDDING_IN_G2,
@@ -108,20 +108,20 @@ def max_weight_bipartite_matching(graph: IntersectionGraph) -> Matching:
 def zed_set_matching(g1: SetGenome, g2: SetGenome) -> SetDecision:
     """Polynomial decision in the per-gene special case: the distance is zero
     iff a maximum-weight matching of chromosome intersections covers every
-    gene, i.e. its weight equals the ground-set size."""
-    try:
-        cls = classify_instance(g1, g2)
-    except FamilyMismatchError:
-        return SetDecision(False)
+    gene, i.e. its weight equals the ground-set size.  A family mismatch
+    answers NO."""
+    cls = classify_instance(g1, g2)
     if cls is InstanceClass.GENERAL:
         raise PreconditionViolatedError(
             "instance is general: some family occurs at least twice in both genomes"
         )
-    return _matching_decision(g1, g2)
+    return _matching_decision(g1, g2, cls)
 
 
-def _matching_decision(g1: SetGenome, g2: SetGenome) -> SetDecision:
-    """zed_set_matching on a pair already classified as special."""
+def _matching_decision(g1: SetGenome, g2: SetGenome, cls: InstanceClass) -> SetDecision:
+    """zed_set_matching on a pair already classified as cls (not GENERAL)."""
+    if cls is InstanceClass.FAMILY_MISMATCH:
+        return SetDecision(False)
     graph = build_intersection_graph(g1, g2)
     matching = max_weight_bipartite_matching(graph)
     if matching.total_weight != len(g1.ground_set | g2.ground_set):
@@ -189,10 +189,8 @@ def zed_set_exact(g1: SetGenome, g2: SetGenome, *, timeout_s: float = 120.0) -> 
     pairs in (i, j) order.  Raises SearchTimeoutError when the wall budget
     runs out, which is reported distinctly from a NO answer.
     """
-    if g1.ground_set != g2.ground_set:
-        return SetDecision(False)
     graph = build_intersection_graph(g1, g2)
-    genes = sorted(g1.ground_set)
+    genes = sorted(g1.ground_set | g2.ground_set)
     cands: dict[int, list[tuple[int, int]]] = {g: [] for g in genes}
     for pair, block in graph.reduced.items():  # in (i, j) order
         for g in block:
@@ -236,12 +234,10 @@ def solve_set(
         raise ValueError(f"unknown mode {mode!r} (expected auto, matching, fpt or exact)")
     route = mode
     if mode == "auto":
-        try:
-            general = classify_instance(g1, g2) is InstanceClass.GENERAL
-        except FamilyMismatchError:
-            return "family-mismatch", SetDecision(False)
-        if not general:
-            return "matching", _matching_decision(g1, g2)
+        cls = classify_instance(g1, g2)
+        if cls is not InstanceClass.GENERAL:
+            route = "family-mismatch" if cls is InstanceClass.FAMILY_MISMATCH else "matching"
+            return route, _matching_decision(g1, g2, cls)
         route = "exact"
     if route == "matching":
         return route, zed_set_matching(g1, g2)

@@ -72,6 +72,16 @@ def test_solve_seq_family_mismatch(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("NO family-mismatch")
 
 
+def test_solve_seq_exact_refutes_family_mismatch_past_the_cap(tmp_path, capsys):
+    # 31 families in all; family 1 is missing from b and family 31 from a
+    a = tmp_path / "a.seq"
+    b = tmp_path / "b.seq"
+    a.write_text(" ".join(map(str, [*range(1, 31), 1])) + "\n")
+    b.write_text(" ".join(map(str, [*range(2, 32), 2])) + "\n")
+    assert main(["solve-seq", str(a), str(b), "--mode", "exact"]) == 1
+    assert capsys.readouterr().out.startswith("NO exact")
+
+
 def test_solve_seq_mode_special_rejects_general(seq_files):
     assert main(["solve-seq", *seq_files, "--mode", "special"]) == 3
 
@@ -169,6 +179,22 @@ def test_elcs_infeasible(tmp_path, capsys):
     a.write_text("1 2\n")
     b.write_text("2 2 1\n")
     assert main(["elcs", str(a), str(b), "--mandatory", "1,2"]) == 1
+    assert "INFEASIBLE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("mandatory", ["-3", "0,1", "\u0663", "1,x", "2.0", "4294967296", "9" * 4301])
+def test_elcs_rejects_mandatory_ids_the_parsers_refuse(tmp_path, capsys, mandatory):
+    a = tmp_path / "a.seq"
+    a.write_text("1 2 3\n")
+    assert main(["elcs", str(a), str(a), "--mandatory", mandatory]) == 2
+    assert "--mandatory" in capsys.readouterr().err
+
+
+def test_elcs_oracle_refutes_before_the_cap(tmp_path, capsys):
+    a = tmp_path / "a.seq"
+    a.write_text("1 2 3\n")
+    mandatory = ",".join(str(f) for f in range(100, 116))
+    assert main(["elcs", str(a), str(a), "--mandatory", mandatory, "--mode", "oracle"]) == 1
     assert "INFEASIBLE" in capsys.readouterr().out
 
 

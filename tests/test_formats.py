@@ -19,6 +19,7 @@ from zedkit.formats import (
     emit_seq_genome,
     emit_set_genome,
     parse_dimacs3,
+    parse_family_ids,
     parse_name_table,
     parse_seq_genome,
     parse_set_genome,
@@ -107,6 +108,11 @@ def test_name_table_empty_and_errors():
     assert diagnostic(parse_name_table, "zap").code == MALFORMED_TOKEN
 
 
+def test_name_table_refuses_family_ids_the_genome_parsers_refuse():
+    assert diagnostic(parse_name_table, "0\tx_1").code == ZERO_GENE
+    assert diagnostic(parse_name_table, "2147483648\tx_1").code == MALFORMED_TOKEN
+
+
 def test_canonical_seq_emission():
     assert emit_seq_genome(SeqGenome.of(-4, 1, 2)) == "-4 1 2\n"
     assert emit_seq_genome(SeqGenome(())) == ""
@@ -177,11 +183,28 @@ LONG = "9" * 4301  # more digits than int() converts
         (parse_seq_genome, b"1 2\n3 \xff 4", (2, 3)),
         (parse_set_genome, b"1\r\n2 \x80", (2, 3)),
         (parse_dimacs3, b"\xc3", (1, 1)),
+        (parse_family_ids, "1," + LONG, (1, 3)),
+        (parse_family_ids, "1, ٣", (1, 4)),
     ],
 )
 def test_long_non_ascii_and_undecodable_tokens_are_malformed(parse, data, where):
     d = diagnostic(parse, data)
     assert ((d.line, d.column), d.code) == (where, MALFORMED_TOKEN)
+
+
+def test_family_ids_are_split_on_commas_and_spaces():
+    assert parse_family_ids("3,1 2\t3") == [3, 1, 2, 3]
+    assert parse_family_ids(" ") == []
+
+
+@pytest.mark.parametrize(
+    "text, column, code",
+    [("-3", 1, MALFORMED_TOKEN), ("1,0", 3, ZERO_GENE), ("2.0", 1, MALFORMED_TOKEN),
+     ("1 4294967296", 3, MALFORMED_TOKEN)],
+)
+def test_family_ids_the_genome_parsers_refuse(text, column, code):
+    d = diagnostic(parse_family_ids, text)
+    assert ((d.line, d.column), d.code) == ((1, column), code)
 
 
 fragments = st.sampled_from(

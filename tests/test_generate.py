@@ -1,6 +1,6 @@
 import pytest
 
-from zedkit.generate import SplitMix64, random_set_pair
+from zedkit.generate import SplitMix64, random_cnf, random_seq_pair, random_set_pair
 
 
 def _shuffled_prefix(rng, population, count):
@@ -29,3 +29,22 @@ def test_random_set_pair_output_is_pinned():
     g1, g2 = random_set_pair(11, 6, 200, max_occ=3, special=True)
     assert [sorted(c) for c in g1.chromosomes] == [[5], [3], [3], [2], [1], [5], [6], [4, 5], [3]]
     assert [sorted(c) for c in g2.chromosomes] == [[4], [2], [5], [3], [6], [1], [6]]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda s: random_seq_pair(s, 0),
+        lambda s: random_set_pair(s, 0, 3),
+        lambda s: random_cnf(s, 3, -2),
+        lambda s: random_seq_pair(s, 1, max_occ=0, special=True),
+        lambda s: random_seq_pair(s, 4, max_occ=0),
+        lambda s: random_set_pair(s, 4, 3, max_occ=0, special=True),
+    ],
+    ids=["seq-no-families", "set-no-families", "cnf-negative-clauses", "seq-special-max-occ-0",
+         "seq-max-occ-0", "set-special-max-occ-0"],
+)
+@pytest.mark.parametrize("seed", range(6))
+def test_generators_refuse_bad_arguments_on_every_seed(make, seed):
+    with pytest.raises(ValueError):
+        make(seed)

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from worked_examples import SEQ_CERT, SEQ_G1, SEQ_G2, SET_G1, SET_G2
 from zedkit import (
-    FamilyMismatchError,
     InstanceClass,
     SeqGenome,
     SetGenome,
@@ -97,8 +96,57 @@ def test_classify_set_genomes():
 
 
 def test_classify_family_mismatch():
-    with pytest.raises(FamilyMismatchError):
-        classify_instance(SeqGenome.of(1, 2), SeqGenome.of(1, 3))
+    assert classify_instance(SeqGenome.of(1, 2), SeqGenome.of(1, 3)) is InstanceClass.FAMILY_MISMATCH
+    assert (
+        classify_instance(SetGenome.of({1, 2}, {1, 3}), SetGenome.of({1, 2}, {1, 2}))
+        is InstanceClass.FAMILY_MISMATCH
+    )
+
+
+SEQ_MISMATCHES = [
+    (SeqGenome.of(1, 2), SeqGenome.of(1, 3)),
+    (SeqGenome.of(1, 1, 2, 2), SeqGenome.of(2, 2, 1, 1, -3)),
+    # 31 families in all, past zed_seq_exact's default cap of 25
+    (SeqGenome((*range(1, 31), 1)), SeqGenome((*range(2, 32), 2))),
+]
+SET_MISMATCHES = [
+    (SetGenome.of({1}), SetGenome.of({2})),
+    (SetGenome.of({1, 2}, {1, 3}, {4}), SetGenome.of({1, 2}, {1, 3})),
+]
+
+
+@pytest.mark.parametrize("g1, g2", SEQ_MISMATCHES + [p[::-1] for p in SEQ_MISMATCHES])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda a, b: solve_seq(a, b)[1],
+        lambda a, b: solve_seq(a, b, mode="special")[1],
+        lambda a, b: solve_seq(a, b, mode="exact")[1],
+        seq.zed_seq_special,
+        seq.zed_seq_exact,
+    ],
+    ids=["auto", "special", "exact", "zed_seq_special", "zed_seq_exact"],
+)
+def test_family_mismatch_answers_no_on_every_seq_route(solve, g1, g2):
+    assert solve(g1, g2) == seq.SeqDecision(False)
+
+
+@pytest.mark.parametrize("g1, g2", SET_MISMATCHES + [p[::-1] for p in SET_MISMATCHES])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda a, b: solve_set(a, b)[1],
+        lambda a, b: solve_set(a, b, mode="matching")[1],
+        lambda a, b: solve_set(a, b, mode="fpt")[1],
+        lambda a, b: solve_set(a, b, mode="exact")[1],
+        sets.zed_set_matching,
+        sets.zed_set_fpt,
+        sets.zed_set_exact,
+    ],
+    ids=["auto", "matching", "fpt", "exact", "zed_set_matching", "zed_set_fpt", "zed_set_exact"],
+)
+def test_family_mismatch_answers_no_on_every_set_route(solve, g1, g2):
+    assert solve(g1, g2) == sets.SetDecision(False)
 
 
 @pytest.mark.parametrize(
@@ -122,6 +170,8 @@ def test_classify_family_mismatch():
          False),
         (solve_set, SET_G1, SET_G2, "fpt", "fpt", True),
         (solve_set, SET_G1, SET_G2, "exact", "exact", True),
+        (solve_seq, SeqGenome.of(1, 2), SeqGenome.of(1, 3), "special", "special", False),
+        (solve_set, SetGenome.of({1}), SetGenome.of({2}), "matching", "matching", False),
     ],
 )
 def test_router_route_per_class(solve, g1, g2, mode, route, answer, monkeypatch):
@@ -148,13 +198,7 @@ def test_router_rejects_unknown_mode():
 
 @given(seq_genomes, seq_genomes)
 def test_classify_symmetric(g1, g2):
-    try:
-        c12 = classify_instance(g1, g2)
-    except FamilyMismatchError:
-        with pytest.raises(FamilyMismatchError):
-            classify_instance(g2, g1)
-        return
-    assert classify_instance(g2, g1) is c12
+    assert classify_instance(g2, g1) is classify_instance(g1, g2)
 
 
 def test_verify_worked_certificate():

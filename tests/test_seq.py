@@ -93,7 +93,7 @@ def test_uniform_weights_degenerate_to_lcs(a, b):
 
 def test_weighted_lcs_worked_instance():
     weights = WeightAssignment.elcs(ELCS_ALPHABET, ELCS_A, ELCS_B)
-    assert weights.mandatory_weight == 9
+    assert {weights.weight_of[f] for f in ELCS_ALPHABET.mandatory} == {9}
     best = weighted_lcs(ELCS_A, ELCS_B, weights)
     got = total_weight(best, weights)
     assert got == 30  # frozen from the enumeration oracle: 3 * 9 + 3 * 1
@@ -109,7 +109,7 @@ def test_weighted_lcs_no_common_symbol():
 
 def test_weighted_lcs_missing_weight():
     with pytest.raises(MissingWeightError):
-        weighted_lcs(SeqGenome.of(1), SeqGenome.of(1), WeightAssignment({}, 1))
+        weighted_lcs(SeqGenome.of(1), SeqGenome.of(1), WeightAssignment({}))
 
 
 def test_one_side_duplicate_free():
@@ -118,6 +118,8 @@ def test_one_side_duplicate_free():
     dec = zed_one_side_duplicate_free(SeqGenome.of(1), SeqGenome.of(1))
     assert dec.answer
     assert not zed_one_side_duplicate_free(SeqGenome.of(1, 2), SeqGenome.of(2, 1)).answer
+    # 1 2 embeds into 1 3 2, but family 3 is missing from it: a family mismatch
+    assert not zed_one_side_duplicate_free(SeqGenome.of(1, 2), SeqGenome.of(1, 3, 2)).answer
 
 
 def test_one_side_requires_exemplar_side():
@@ -183,10 +185,17 @@ def test_elcs_oracle_plain_lcs_when_no_mandatory():
 def test_elcs_oracle_infeasible_and_cap():
     alphabet = Alphabet(frozenset({1, 2}), frozenset())
     assert elcs_exact_oracle(SeqGenome.of(1, 2), SeqGenome.of(2, 2, 1), alphabet) is None
+    g = SeqGenome(tuple(range(1, 20)))
     with pytest.raises(CapExceededError):
-        elcs_exact_oracle(
-            SeqGenome.of(1), SeqGenome.of(1), Alphabet(frozenset(range(1, 20)), frozenset())
-        )
+        elcs_exact_oracle(g, g, Alphabet(frozenset(range(1, 20)), frozenset()))
+
+
+def test_elcs_oracle_refutes_before_the_cap():
+    # 16 mandatory families, none in the inputs: infeasible, however many
+    g = SeqGenome.of(1, 2, 3)
+    alphabet = Alphabet.from_mandatory(range(100, 116), g.families)
+    assert elcs_exact_oracle(g, g, alphabet) is None
+    assert elcs_special(g, g, alphabet) is None
 
 
 @pytest.mark.parametrize("seed", range(60))
