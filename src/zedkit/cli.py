@@ -1,9 +1,11 @@
 """Batch command-line front end.
 
 Subcommands: solve-seq, solve-set, elcs, reduce, verify, sat, gen, selftest,
-bench.  Exit codes: 0 yes/feasible, 1 no/infeasible, 2 usage or parse error,
-3 precondition violation, 4 cap or timeout exceeded.  Verdicts go to stdout,
-diagnostics to stderr; --report appends one JSON object per run.
+bench.  solve-seq and solve-set share one command, and --timeout is the only
+bound on their searches.  Exit codes: 0 yes/feasible, 1 no/infeasible, 2 usage
+or parse error, 3 precondition violation, 4 search timeout, size cap or memory
+exhausted.  Verdicts go to stdout, diagnostics to stderr; --report appends one
+JSON object per run.
 """
 
 from __future__ import annotations
@@ -68,30 +70,6 @@ def _report_line(args, *, verdict: str, algorithm: str, elapsed_ms: float, witne
             fh.write(line + "\n")
 
 
-def _finish_solve(args, route, dec, elapsed_ms, emit, witness_of) -> int:
-    """Print the verdict, write the certificate and the report line; on YES,
-    witness_of(dec) prints any witness line and returns the report's witness."""
-    verdict = "YES" if dec.answer else "NO"
-    print(f"{verdict} {route}")
-    witness = None
-    if dec.answer:
-        witness = witness_of(dec)
-        if args.cert_out:
-            _write(args.cert_out, emit(dec.certificate))
-    _report_line(args, verdict=verdict, algorithm=route, elapsed_ms=elapsed_ms, witness=witness)
-    return EXIT_YES if dec.answer else EXIT_NO
-
-
-def _cmd_solve_seq(args) -> int:
-    g1 = parse_seq_genome(_read(args.g1))
-    g2 = parse_seq_genome(_read(args.g2))
-    t0 = time.perf_counter()
-    route, dec = solve_seq(g1, g2, mode=args.mode, max_families=args.max_families)
-    elapsed = (time.perf_counter() - t0) * 1000
-    return _finish_solve(args, route, dec, elapsed, emit_seq_genome,
-                         lambda d: " ".join(str(g) for g in d.certificate.genes))
-
-
 def _set_witness(dec) -> list:
     if dec.witness_permutation is not None:
         witness = [p + 1 for p in dec.witness_permutation]
@@ -103,16 +81,23 @@ def _set_witness(dec) -> list:
     return witness
 
 
-def _cmd_solve_set(args) -> int:
-    if not math.isfinite(args.timeout):
-        print("solve-set: --timeout must be a finite number of seconds", file=sys.stderr)
-        return EXIT_USAGE
-    g1 = parse_set_genome(_read(args.g1))
-    g2 = parse_set_genome(_read(args.g2))
+def _cmd_solve(args) -> int:
+    """solve-seq and solve-set.  On YES, args.witness(dec) prints any witness
+    line and returns the report's witness."""
+    g1 = args.parse(_read(args.g1))
+    g2 = args.parse(_read(args.g2))
     t0 = time.perf_counter()
-    route, dec = solve_set(g1, g2, mode=args.mode, timeout_s=args.timeout)
+    route, dec = args.solve(g1, g2, mode=args.mode, timeout_s=args.timeout)
     elapsed = (time.perf_counter() - t0) * 1000
-    return _finish_solve(args, route, dec, elapsed, emit_set_genome, _set_witness)
+    verdict = "YES" if dec.answer else "NO"
+    print(f"{verdict} {route}")
+    witness = None
+    if dec.answer:
+        witness = args.witness(dec)
+        if args.cert_out:
+            _write(args.cert_out, args.emit(dec.certificate))
+    _report_line(args, verdict=verdict, algorithm=route, elapsed_ms=elapsed, witness=witness)
+    return EXIT_YES if dec.answer else EXIT_NO
 
 
 def _cmd_elcs(args) -> int:
@@ -148,7 +133,6 @@ def _cmd_elcs(args) -> int:
 
 def _cmd_reduce(args) -> int:
     phi = parse_dimacs3(_read(args.cnf))
-    n, m = phi.n_vars, len(phi.clauses)
     if args.variant == "seq":
         g1, g2, table = reduce_3sat_to_seq_zed(phi)
         _write(f"{args.out_prefix}.g1", emit_seq_genome(g1))
@@ -165,16 +149,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.variant == "seq":
-        g1 = parse_seq_genome(_read(args.g1))
-        g2 = parse_seq_genome(_read(args.g2))
-        cert = parse_seq_genome(_read(args.cert))
-        check = verify_seq_certificate(g1, g2, cert)
-    else:
-        g1 = parse_set_genome(_read(args.g1))
-        g2 = parse_set_genome(_read(args.g2))
-        cert = parse_set_genome(_read(args.cert))
-        check = verify_set_certificate(g1, g2, cert)
+    seq = args.variant == "seq"
+    parse = parse_seq_genome if seq else parse_set_genome
+    verify = verify_seq_certificate if seq else verify_set_certificate
+    check = verify(*(parse(_read(path)) for path in (args.g1, args.g2, args.cert)))
     if check.ok:
         print("OK")
         return EXIT_YES
@@ -230,9 +208,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    if args.budget <= 0:
-        print("selftest: budget exhausted before minimum coverage", file=sys.stderr)
-        return EXIT_CAP
+    if args.cases < args.min_cases:
+        print("selftest: --cases must be at least --min-cases", file=sys.stderr)
+        return EXIT_USAGE
     report = run_selftest(args.budget, min_cases=args.min_cases, max_cases=args.cases)
     for name, count in report.cases.items():
         print(f"{name}: {count} cases")
@@ -240,7 +218,7 @@ def _cmd_selftest(args) -> int:
         for failure in report.failures:
             print(f"FAIL {failure}", file=sys.stderr)
         return EXIT_NO
-    if report.exhausted:
+    if report.short:
         print("selftest: budget exhausted before minimum coverage", file=sys.stderr)
         return EXIT_CAP
     print("selftest: all suites agree")
@@ -272,7 +250,7 @@ def _bench_scenarios():
     # compiles to a 55-family ordered pair that the exact search must refute
     phi = CnfFormula.of(3, *itertools.product((1, -1), (2, -2), (3, -3)))
     u1, u2, _ = reduce_3sat_to_seq_zed(phi)
-    yield "seq reduction complete UNSAT n=3", 5.0, lambda: zed_seq_exact(u1, u2, max_families=55)
+    yield "seq reduction complete UNSAT n=3", 5.0, lambda: zed_seq_exact(u1, u2)
 
 
 def _cmd_bench(args) -> int:
@@ -287,6 +265,20 @@ def _cmd_bench(args) -> int:
     return EXIT_YES if ok else EXIT_NO
 
 
+def _finite_seconds(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number of seconds, not {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zed",
@@ -294,31 +286,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve-seq", help="decide zero exemplar distance for ordered genomes")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.add_argument("--mode", choices=["auto", "special", "exact"], default="auto")
-    p.add_argument("--cert-out", help="write the certificate here on YES")
-    p.add_argument("--max-families", type=int, default=25, help="cap for the exact search")
-    p.add_argument("--report", help="append a JSON report line to this file ('-' for stdout)")
-    p.set_defaults(func=_cmd_solve_seq)
-
-    p = sub.add_parser("solve-set", help="decide zero exemplar distance for unordered genomes")
-    p.add_argument("g1")
-    p.add_argument("g2")
-    p.add_argument("--mode", choices=["auto", "matching", "fpt", "exact"], default="auto")
-    p.add_argument("--cert-out")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="wall budget for the permutation scan or the exact search (s)")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_solve_set)
+    solvers = (
+        ("solve-seq", "ordered", parse_seq_genome, solve_seq, emit_seq_genome,
+         lambda dec: " ".join(str(g) for g in dec.certificate.genes), ["auto", "special", "exact"]),
+        ("solve-set", "unordered", parse_set_genome, solve_set, emit_set_genome, _set_witness,
+         ["auto", "matching", "fpt", "exact"]),
+    )
+    for name, model, parse, solve, emit, witness, modes in solvers:
+        p = sub.add_parser(name, help=f"decide zero exemplar distance for {model} genomes")
+        p.add_argument("g1")
+        p.add_argument("g2")
+        p.add_argument("--mode", choices=modes, default="auto")
+        p.add_argument("--cert-out", help="write the certificate here on YES")
+        p.add_argument("--timeout", type=_finite_seconds, default=120.0,
+                       help="wall budget for the exact search or the permutation scan (s)")
+        p.add_argument("--report", help="append a JSON report line to this file ('-' for stdout)")
+        p.set_defaults(func=_cmd_solve, parse=parse, solve=solve, emit=emit, witness=witness)
 
     p = sub.add_parser("elcs", help="longest common subsequence containing all mandatory symbols")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--mandatory", default="", help="comma- or space-separated mandatory families")
     p.add_argument("--mode", choices=["special", "oracle"], default="special")
-    p.add_argument("--max-mandatory", type=int, default=15, help="cap for oracle mode")
+    p.add_argument("--max-mandatory", type=_positive_int, default=15, help="cap for oracle mode")
     p.add_argument("--out", help="write the subsequence here when feasible")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_elcs)
@@ -338,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat", help="brute-force satisfiability of a 3-CNF formula")
     p.add_argument("cnf")
-    p.add_argument("--max-vars", type=int, default=24)
+    p.add_argument("--max-vars", type=_positive_int, default=24)
     p.set_defaults(func=_cmd_sat)
 
     p = sub.add_parser("gen", help="generate seeded random instances")
@@ -360,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the cross-algorithm equivalence suites")
     p.add_argument("--budget", type=float, default=20.0, help="wall budget in seconds")
-    p.add_argument("--cases", type=int, default=100, help="max cases per suite")
-    p.add_argument("--min-cases", type=int, default=10, help="minimum coverage per suite")
+    p.add_argument("--cases", type=_positive_int, default=100, help="max cases per suite")
+    p.add_argument("--min-cases", type=_positive_int, default=10, help="minimum coverage per suite")
     p.set_defaults(func=_cmd_selftest)
 
     p = sub.add_parser("bench", help="complexity smoke benchmarks")

@@ -121,7 +121,7 @@ BASE_SEED = 987_654
 class SelftestReport:
     cases: dict[str, int] = field(default_factory=dict)
     failures: list[str] = field(default_factory=list)
-    exhausted: bool = False
+    short: bool = False
 
 
 def run_selftest(
@@ -131,13 +131,13 @@ def run_selftest(
     max_cases: int = 100,
 ) -> SelftestReport:
     """Round-robin the suites on seeds BASE_SEED, BASE_SEED+1, ... until each
-    has run max_cases or the budget runs out."""
+    has run max_cases or the budget runs out; short reports that some
+    suite ran fewer than min_cases."""
     report = SelftestReport(cases={name: 0 for name, _ in SUITES})
     deadline = time.monotonic() + budget_s
     case = 0
     while any(n < max_cases for n in report.cases.values()):
         if time.monotonic() >= deadline:
-            report.exhausted = any(n < min_cases for n in report.cases.values())
             break
         for name, fn in SUITES:
             if report.cases[name] >= max_cases:
@@ -148,4 +148,5 @@ def run_selftest(
             if problem is not None:
                 report.failures.append(f"{name} (seed {seed}): {problem}")
         case += 1
+    report.short = any(n < min_cases for n in report.cases.values())
     return report

@@ -9,7 +9,6 @@ instances of the NP-hard general problem.
 from __future__ import annotations
 
 import heapq
-import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -254,16 +253,19 @@ def _non_crossing(c: tuple[int, int], live: _LivePairs) -> _LivePairs:
     return _LivePairs(cells)
 
 
-def zed_seq_exact(g1: SeqGenome, g2: SeqGenome, *, max_families: int = 25) -> SeqDecision:
-    """Exact decision for the general (NP-hard) problem at desk scale.
+def zed_seq_exact(
+    g1: SeqGenome, g2: SeqGenome, *, timeout_s: float = 120.0, max_families: int | None = None
+) -> SeqDecision:
+    """Exact decision for the general (NP-hard) problem.
 
     Every family must pick one occurrence pair (p, q) with g1[p] == g2[q],
     signs included, and the chosen pairs must not cross (p < p' iff q < q');
     the genes at the chosen positions, read in order, are then a common
     exemplar subsequence.  Pairs are tried earliest first (by p + q) in the
-    forward-checking backjump search shared with the unordered solver.  A
-    family with no signed form in both genomes answers NO before the cap.
-    """
+    forward-checking backjump search shared with the unordered solver, which
+    raises SearchTimeoutError once timeout_s seconds have passed.  A family
+    with no signed form in both genomes answers NO at once.  max_families,
+    when given, caps the family count (CapExceededError)."""
     fams = sorted(g1.families | g2.families)
     at1, at2 = {}, {}  # signed gene -> its positions in g1, g2
     for at, g in (at1, g1), (at2, g2):
@@ -276,11 +278,11 @@ def zed_seq_exact(g1: SeqGenome, g2: SeqGenome, *, max_families: int = 25) -> Se
         if not cells:
             return SeqDecision(False)  # no signed form of f is in both genomes
         domains.append(_LivePairs(cells))
-    if len(fams) > max_families:
+    if max_families is not None and len(fams) > max_families:
         raise CapExceededError(f"{len(fams)} families exceeds the cap of {max_families}")
     # every two families constrain each other, so all degrees tie
     degree = [len(fams) - 1] * len(fams)
-    chosen = backjump_search(domains, degree, _non_crossing, math.inf)
+    chosen = backjump_search(domains, degree, _non_crossing, timeout_s)
     if chosen is None:
         return SeqDecision(False)
     return SeqDecision(True, SeqGenome(tuple(g1.genes[p] for p, _ in sorted(chosen))))
@@ -296,14 +298,15 @@ _SEQ_ROUTES = {
 
 
 def solve_seq(
-    g1: SeqGenome, g2: SeqGenome, *, mode: str = "auto", max_families: int = 25
+    g1: SeqGenome, g2: SeqGenome, *, mode: str = "auto", timeout_s: float = 120.0
 ) -> tuple[str, SeqDecision]:
     """Decide zero exemplar distance and name the route taken.
 
-    Mode "special" runs zed_seq_special and "exact" runs zed_seq_exact.  Mode
-    "auto" answers a family mismatch NO ("family-mismatch"), sends the special
-    classes to zed_seq_special ("equality", "subsequence", "special") and a
-    general pair to the exact search ("exact").
+    Mode "special" runs zed_seq_special and "exact" runs zed_seq_exact with
+    the timeout_s wall budget.  Mode "auto" answers a family mismatch NO
+    ("family-mismatch"), sends the special classes to zed_seq_special
+    ("equality", "subsequence", "special") and a general pair to the exact
+    search ("exact").
     """
     if mode not in ("auto", "special", "exact"):
         raise ValueError(f"unknown mode {mode!r} (expected auto, special or exact)")
@@ -314,7 +317,7 @@ def solve_seq(
         if route != "exact":
             return route, _special_decision(g1, g2, cls)
     if route == "exact":
-        return route, zed_seq_exact(g1, g2, max_families=max_families)
+        return route, zed_seq_exact(g1, g2, timeout_s=timeout_s)
     return route, zed_seq_special(g1, g2)
 
 

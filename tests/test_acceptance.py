@@ -165,14 +165,14 @@ def test_criterion_05_sequence_biconditional():
         assert brute_force_sat(COMPLETE_UNSAT_N3) is None
         g1, g2, _ = reduce_3sat_to_seq_zed(COMPLETE_UNSAT_N3)
         with stopwatch() as hard:
-            assert not zed_seq_exact(g1, g2, max_families=55).answer
+            assert not zed_seq_exact(g1, g2).answer
         assert hard.elapsed < 1.0
         # 30-clause formulas compile to 187-family pairs
         with stopwatch() as big:
             for seed in range(5):
                 phi = random_cnf(seed, 3, 30)
                 g1, g2, _ = reduce_3sat_to_seq_zed(phi)
-                dec = zed_seq_exact(g1, g2, max_families=len(g1.families))
+                dec = zed_seq_exact(g1, g2)
                 assert dec.answer == (brute_force_sat(phi) is not None)
                 if dec.answer:
                     assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))

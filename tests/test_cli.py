@@ -7,9 +7,16 @@ import sys
 import pytest
 
 import zedkit
-from worked_examples import SEQ_G1, SEQ_G2, SET_CERT, SET_G1, SET_G2
+from worked_examples import COMPLETE_UNSAT_N3, SEQ_G1, SEQ_G2, SET_CERT, SET_G1, SET_G2
 from zedkit.cli import main
-from zedkit.formats import emit_seq_genome, emit_set_genome, parse_seq_genome, parse_set_genome
+from zedkit.formats import (
+    emit_dimacs3,
+    emit_seq_genome,
+    emit_set_genome,
+    parse_seq_genome,
+    parse_set_genome,
+)
+from zedkit.selftest import run_selftest
 
 
 @pytest.fixture
@@ -86,8 +93,14 @@ def test_solve_seq_mode_special_rejects_general(seq_files):
     assert main(["solve-seq", *seq_files, "--mode", "special"]) == 3
 
 
-def test_solve_seq_cap(seq_files):
-    assert main(["solve-seq", *seq_files, "--mode", "exact", "--max-families", "3"]) == 4
+def test_solve_seq_refutes_a_55_family_reduction_by_default(tmp_path, capsys):
+    cnf = tmp_path / "unsat.cnf"
+    cnf.write_text(emit_dimacs3(COMPLETE_UNSAT_N3))
+    prefix = tmp_path / "inst"
+    assert main(["reduce", "--variant", "seq", str(cnf), "--out-prefix", str(prefix)]) == 0
+    capsys.readouterr()
+    assert main(["solve-seq", f"{prefix}.g1", f"{prefix}.g2"]) == 1
+    assert capsys.readouterr().out == "NO exact\n"
 
 
 def test_solve_seq_report(seq_files, tmp_path):
@@ -354,10 +367,23 @@ def test_selftest_small_run(capsys):
     assert "all suites agree" in out
 
 
-def test_usage_errors(tmp_path, seq_files, set_files):
+def test_run_selftest_flags_a_short_run_with_budget_to_spare():
+    report = run_selftest(60.0, min_cases=3, max_cases=2)
+    assert not report.failures
+    assert set(report.cases.values()) == {2}
+    assert report.short
+
+
+def test_usage_errors(tmp_path, data_dir, seq_files, set_files):
     assert main(["solve-seq", *seq_files, "--mode", "bogus"]) == 2
-    assert main(["solve-set", *set_files, "--timeout", "nan"]) == 2
-    assert main(["solve-set", *set_files, "--timeout", "inf"]) == 2
+    for command, files in ("solve-seq", seq_files), ("solve-set", set_files):
+        assert main([command, *files, "--timeout", "nan"]) == 2
+        assert main([command, *files, "--timeout", "inf"]) == 2
+    for cap in "0", "-1":
+        assert main(["elcs", *seq_files, "--mode", "oracle", "--max-mandatory", cap]) == 2
+        assert main(["sat", str(data_dir / "example1.cnf"), "--max-vars", cap]) == 2
+    assert main(["selftest", "--cases", "0"]) == 2
+    assert main(["selftest", "--min-cases", "1000", "--cases", "5"]) == 2
     assert main(["no-such-command"]) == 2
     missing = str(tmp_path / "nope.seq")
     assert main(["solve-seq", missing, missing]) == 2
@@ -366,6 +392,11 @@ def test_usage_errors(tmp_path, seq_files, set_files):
     assert main(["solve-seq", str(bad), str(bad)]) == 2
 
 
-@pytest.mark.parametrize("mode", ["exact", "fpt"])
-def test_solve_set_timeout_exit_code(set_files, mode):
-    assert main(["solve-set", *set_files, "--mode", mode, "--timeout", "-1"]) == 4
+@pytest.mark.parametrize("command, mode", [
+    pytest.param("solve-set", "exact", id="exact"),
+    pytest.param("solve-set", "fpt", id="fpt"),
+    pytest.param("solve-seq", "exact", id="seq-exact"),
+])
+def test_solve_set_timeout_exit_code(request, command, mode):
+    files = request.getfixturevalue("set_files" if command == "solve-set" else "seq_files")
+    assert main([command, *files, "--mode", mode, "--timeout", "-1"]) == 4

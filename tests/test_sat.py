@@ -24,6 +24,7 @@ from zedkit import (
     reduce_3sat_to_set_zed,
     seq_certificate_from_assignment,
     set_certificate_from_assignment,
+    solve_seq,
     verify_seq_certificate,
     verify_set_certificate,
     zed_seq_exact,
@@ -158,6 +159,19 @@ def test_seq_round_trip_on_random_satisfiable_formulas(seed):
     g1, g2, _ = reduce_3sat_to_seq_zed(phi)
     assert verify_seq_certificate(g1, g2, cert).ok
     assert assignment_from_seq_certificate(phi, cert) == sigma
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_solve_seq_decides_257_family_reductions_by_default(seed):
+    phi = random_cnf(seed, 8, 40, distinct_vars=True)
+    g1, g2, _ = reduce_3sat_to_seq_zed(phi)
+    assert len(g1.families) == 257  # 2n + 6m + 1
+    route, dec = solve_seq(g1, g2)
+    assert route == "exact"
+    assert dec.answer == (brute_force_sat(phi) is not None)
+    if dec.answer:
+        assert verify_seq_certificate(g1, g2, dec.certificate).ok
+        assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
 
 
 def test_set_reduction_matches_golden_files(data_dir):

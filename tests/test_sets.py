@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from worked_examples import SET_CERT, SET_G1, SET_G2
+from worked_examples import SEQ_G1, SEQ_G2, SET_CERT, SET_G1, SET_G2
 from zedkit import (
     InstanceClass,
     PreconditionViolatedError,
@@ -12,8 +12,10 @@ from zedkit import (
     build_intersection_graph,
     classify_instance,
     max_weight_bipartite_matching,
+    solve_seq,
     solve_set,
     verify_set_certificate,
+    zed_seq_exact,
     zed_set_exact,
     zed_set_fpt,
     zed_set_matching,
@@ -212,16 +214,21 @@ def test_zed_set_exact_timeout_is_distinct_from_no():
         zed_set_exact(SET_G1, SET_G2, timeout_s=-1.0)
 
 
-@pytest.mark.parametrize("search", [zed_set_fpt, zed_set_exact])
+# the worked pairs are general, so each search runs (and checks its budget)
+_PAIR = {zed_set_fpt: (SET_G1, SET_G2), zed_set_exact: (SET_G1, SET_G2),
+         solve_set: (SET_G1, SET_G2), zed_seq_exact: (SEQ_G1, SEQ_G2), solve_seq: (SEQ_G1, SEQ_G2)}
+
+
+@pytest.mark.parametrize("search", [zed_set_fpt, zed_set_exact, zed_seq_exact, solve_seq])
 def test_timeout_message_names_the_budget_as_given(search):
     with pytest.raises(SearchTimeoutError, match=r"exceeded the -0\.4s budget"):
-        search(SET_G1, SET_G2, timeout_s=-0.4)
+        search(*_PAIR[search], timeout_s=-0.4)
 
 
-@pytest.mark.parametrize("search", [zed_set_fpt, zed_set_exact, solve_set])
+@pytest.mark.parametrize("search", [zed_set_fpt, zed_set_exact, solve_set, zed_seq_exact, solve_seq])
 def test_nan_budget_is_refused(search):
     with pytest.raises(ValueError, match="NaN"):
-        search(SET_G1, SET_G2, timeout_s=float("nan"))
+        search(*_PAIR[search], timeout_s=float("nan"))
 
 
 def test_zed_set_exact_candidate_cap():
