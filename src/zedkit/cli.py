@@ -11,6 +11,7 @@ JSON object per run.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -34,7 +35,7 @@ from .model import Alphabet, verify_seq_certificate
 from .sat import CnfFormula, brute_force_sat, reduce_3sat_to_seq_zed, reduce_3sat_to_set_zed
 from .selftest import run_selftest
 from .seq import elcs_exact_oracle, elcs_special, lcs, solve_seq, zed_seq_exact
-from .sets import solve_set, verify_set_certificate, zed_set_fpt, zed_set_matching
+from .sets import solve_set, verify_set_certificate, zed_set_exact, zed_set_fpt, zed_set_matching
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -81,21 +82,30 @@ def _set_witness(dec) -> list:
     return witness
 
 
+def _seq_witness(dec) -> str:
+    return " ".join(str(g) for g in dec.certificate.genes)
+
+
 def _cmd_solve(args) -> int:
-    """solve-seq and solve-set.  On YES, args.witness(dec) prints any witness
-    line and returns the report's witness."""
-    g1 = args.parse(_read(args.g1))
-    g2 = args.parse(_read(args.g2))
+    """solve-seq and solve-set.  On YES, show(dec) prints any witness line and
+    returns the report's witness.  The functions are looked up on each
+    call, not stored in the cached parser, so rebinding them takes effect."""
+    if args.command == "solve-seq":
+        parse, solve, emit, show = parse_seq_genome, solve_seq, emit_seq_genome, _seq_witness
+    else:
+        parse, solve, emit, show = parse_set_genome, solve_set, emit_set_genome, _set_witness
+    g1 = parse(_read(args.g1))
+    g2 = parse(_read(args.g2))
     t0 = time.perf_counter()
-    route, dec = args.solve(g1, g2, mode=args.mode, timeout_s=args.timeout)
+    route, dec = solve(g1, g2, mode=args.mode, timeout_s=args.timeout)
     elapsed = (time.perf_counter() - t0) * 1000
     verdict = "YES" if dec.answer else "NO"
     print(f"{verdict} {route}")
     witness = None
     if dec.answer:
-        witness = args.witness(dec)
+        witness = show(dec)
         if args.cert_out:
-            _write(args.cert_out, args.emit(dec.certificate))
+            _write(args.cert_out, emit(dec.certificate))
     _report_line(args, verdict=verdict, algorithm=route, elapsed_ms=elapsed, witness=witness)
     return EXIT_YES if dec.answer else EXIT_NO
 
@@ -252,6 +262,10 @@ def _bench_scenarios():
     u1, u2, _ = reduce_3sat_to_seq_zed(phi)
     yield "seq reduction complete UNSAT n=3", 5.0, lambda: zed_seq_exact(u1, u2)
 
+    # a random unsatisfiable formula whose set reduction the exact search refutes
+    w1, w2, _ = reduce_3sat_to_set_zed(random_cnf(1, 12, 60, distinct_vars=True))
+    yield "set reduction UNSAT n=12 m=60", 5.0, lambda: zed_set_exact(w1, w2)
+
 
 def _cmd_bench(args) -> int:
     ok = True
@@ -287,12 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solvers = (
-        ("solve-seq", "ordered", parse_seq_genome, solve_seq, emit_seq_genome,
-         lambda dec: " ".join(str(g) for g in dec.certificate.genes), ["auto", "special", "exact"]),
-        ("solve-set", "unordered", parse_set_genome, solve_set, emit_set_genome, _set_witness,
-         ["auto", "matching", "fpt", "exact"]),
+        ("solve-seq", "ordered", ["auto", "special", "exact"]),
+        ("solve-set", "unordered", ["auto", "matching", "fpt", "exact"]),
     )
-    for name, model, parse, solve, emit, witness, modes in solvers:
+    for name, model, modes in solvers:
         p = sub.add_parser(name, help=f"decide zero exemplar distance for {model} genomes")
         p.add_argument("g1")
         p.add_argument("g2")
@@ -301,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=_finite_seconds, default=120.0,
                        help="wall budget for the exact search or the permutation scan (s)")
         p.add_argument("--report", help="append a JSON report line to this file ('-' for stdout)")
-        p.set_defaults(func=_cmd_solve, parse=parse, solve=solve, emit=emit, witness=witness)
+        p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("elcs", help="longest common subsequence containing all mandatory symbols")
     p.add_argument("a")
@@ -360,10 +372,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main call, not on import: a build costs more than most calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,7 +9,6 @@ instances of the NP-hard general problem.
 from __future__ import annotations
 
 import heapq
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping
@@ -29,7 +28,7 @@ from .model import (
     classify_instance,
     occurrence_profile,
 )
-from .search import backjump_search
+from .search import backjump_search, recursion_room
 
 
 @dataclass(frozen=True)
@@ -339,7 +338,6 @@ def elcs_exact_oracle(
     full = (1 << len(mandatory)) - 1
     ga, gb = a.genes, b.genes
     n, m = len(ga), len(gb)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + m + 100))
     memo: dict[tuple[int, int, int], int] = {}
 
     def best(i: int, j: int, mask: int) -> int:
@@ -364,25 +362,26 @@ def elcs_exact_oracle(
         memo[key] = res
         return res
 
-    if best(0, 0, 0) < 0:
-        return None
-    out: list[int] = []
-    i = j = mask = 0
-    while i < n and j < m:
-        cur = best(i, j, mask)
-        if ga[i] == gb[j]:
-            fb = bit.get(abs(ga[i]))
-            if fb is None or not mask & fb:
-                nmask = mask | (fb or 0)
-                sub = best(i + 1, j + 1, nmask)
-                if sub >= 0 and 1 + sub == cur:
-                    out.append(ga[i])
-                    i += 1
-                    j += 1
-                    mask = nmask
-                    continue
-        if best(i + 1, j, mask) == cur:
-            i += 1
-        else:
-            j += 1
-    return SeqGenome(tuple(out))
+    with recursion_room(n + m + 100):
+        if best(0, 0, 0) < 0:
+            return None
+        out: list[int] = []
+        i = j = mask = 0
+        while i < n and j < m:
+            cur = best(i, j, mask)
+            if ga[i] == gb[j]:
+                fb = bit.get(abs(ga[i]))
+                if fb is None or not mask & fb:
+                    nmask = mask | (fb or 0)
+                    sub = best(i + 1, j + 1, nmask)
+                    if sub >= 0 and 1 + sub == cur:
+                        out.append(ga[i])
+                        i += 1
+                        j += 1
+                        mask = nmask
+                        continue
+            if best(i + 1, j, mask) == cur:
+                i += 1
+            else:
+                j += 1
+        return SeqGenome(tuple(out))

@@ -10,6 +10,7 @@ chromosome count) and by the exact backjump search shared with ordered genomes.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -179,6 +180,37 @@ def _disjoint_pairs(c: tuple[int, int], cands: list[tuple[int, int]]) -> list[tu
     return [d for d in cands if (i == d[0]) == (j == d[1])]
 
 
+def _search_inputs(g1: SetGenome, g2: SetGenome, graph: IntersectionGraph):
+    """The genes in increasing order and, for backjump_search over them (item
+    x is genes[x]), their domains, degrees and touches; None when some gene
+    has no covering pair."""
+    genes = sorted(g1.ground_set | g2.ground_set)
+    item = {g: x for x, g in enumerate(genes)}
+    cands: list[list[tuple[int, int]]] = [[] for _ in genes]
+    for pair, block in graph.reduced.items():  # in (i, j) order
+        for g in block:
+            cands[item[g]].append(pair)
+    if not all(cands):
+        return None
+    # static degree: genes sharing a host chromosome interact
+    degree = [0] * len(genes)
+    for chrom in (*g1.chromosomes, *g2.chromosomes):
+        for g in chrom:
+            degree[item[g]] += len(chrom) - 1
+    left = [[item[g] for g in c] for c in g1.chromosomes]
+    right = [[item[g] for g in c] for c in g2.chromosomes]
+
+    @functools.cache
+    def touches(c: tuple[int, int]) -> list[int]:
+        # a candidate (i', j') of gene h conflicts with c = (i, j) only when
+        # exactly one of i' = i and j' = j holds, and (i', j') covers h, so h
+        # lies in chromosome i of g1 or in chromosome j of g2
+        i, j = c
+        return sorted({*left[i], *right[j]})
+
+    return genes, cands, degree, touches
+
+
 def zed_set_exact(g1: SetGenome, g2: SetGenome, *, timeout_s: float = 120.0) -> SetDecision:
     """Exact decision by search over genes.
 
@@ -186,26 +218,16 @@ def zed_set_exact(g1: SetGenome, g2: SetGenome, *, timeout_s: float = 120.0) -> 
     both chromosomes, and the distinct chosen pairs must form a matching (no
     chromosome index shared between different pairs).  Solved by the
     forward-checking backjump search shared with the ordered solver, trying
-    pairs in (i, j) order.  Raises SearchTimeoutError when the wall budget
-    runs out, which is reported distinctly from a NO answer.
+    pairs in (i, j) order; binding a pair filters only the genes that share a
+    chromosome with it.  Raises SearchTimeoutError when the wall budget runs
+    out, which is reported distinctly from a NO answer.
     """
     graph = build_intersection_graph(g1, g2)
-    genes = sorted(g1.ground_set | g2.ground_set)
-    cands: dict[int, list[tuple[int, int]]] = {g: [] for g in genes}
-    for pair, block in graph.reduced.items():  # in (i, j) order
-        for g in block:
-            cands[g].append(pair)
-    if not all(cands.values()):
+    inputs = _search_inputs(g1, g2, graph)
+    if inputs is None:
         return SetDecision(False)
-    # static degree: genes sharing a host chromosome interact
-    degree: dict[int, int] = {g: 0 for g in genes}
-    for chrom in (*g1.chromosomes, *g2.chromosomes):
-        for g in chrom:
-            degree[g] += len(chrom) - 1
-
-    chosen = backjump_search(
-        [cands[g] for g in genes], [degree[g] for g in genes], _disjoint_pairs, timeout_s
-    )
+    genes, domains, degree, touches = inputs
+    chosen = backjump_search(domains, degree, _disjoint_pairs, timeout_s, touches)
     if chosen is None:
         return SetDecision(False)
     groups: dict[tuple[int, int], set[int]] = {}

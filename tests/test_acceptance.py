@@ -360,3 +360,21 @@ def test_criterion_11_io_round_trips_and_diagnostics():
         assert code_of(parse_name_table, "1\ta\n1\tb") == DUPLICATE_FAMILY
     assert sw.elapsed < 60.0
     report(11, f"1000 round-trips plus all stable diagnostic codes ({sw.elapsed:.1f}s)")
+
+
+def test_criterion_12_set_reductions_n12():
+    verdicts = []
+    with stopwatch() as sw:
+        for seed in range(3):
+            phi = random_cnf(seed, 12, 60, distinct_vars=True)
+            satisfiable = brute_force_sat(phi) is not None
+            g1, g2, _ = reduce_3sat_to_set_zed(phi)
+            dec = zed_set_exact(g1, g2)
+            assert dec.answer == satisfiable
+            if dec.answer:
+                assert verify_set_certificate(g1, g2, dec.certificate).ok
+                assert eval_assignment(phi, assignment_from_set_certificate(phi, dec.certificate))
+            verdicts.append("SAT" if satisfiable else "UNSAT")
+    assert sw.elapsed < 15.0
+    report(12, f"set reductions of three random n=12, m=60 formulas ({'/'.join(verdicts)}) agree "
+               f"with the oracle ({sw.elapsed:.1f}s)")

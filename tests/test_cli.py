@@ -400,3 +400,45 @@ def test_usage_errors(tmp_path, data_dir, seq_files, set_files):
 def test_solve_set_timeout_exit_code(request, command, mode):
     files = request.getfixturevalue("set_files" if command == "solve-set" else "seq_files")
     assert main([command, *files, "--mode", mode, "--timeout", "-1"]) == 4
+
+
+def test_repeated_calls_on_one_process_agree(seq_files, set_files, tmp_path, capsys):
+    report = tmp_path / "report.jsonl"
+    argvs = [
+        ["--help"],
+        ["solve-set", "--help"],
+        ["solve-seq", *seq_files, "--report", str(report)],
+        ["solve-set", *set_files, "--mode", "exact"],
+        ["solve-seq", *seq_files, "--mode", "bogus"],
+        ["no-such-command"],
+        ["solve-set", *set_files, "--timeout", "nan"],
+        ["gen", "cnf", "--seed", "3", "--vars", "4", "--clauses", "3"],
+    ]
+
+    def run_all():
+        out = []
+        for argv in argvs:
+            code = main(argv)
+            out.append((code, *capsys.readouterr()))
+        return out
+
+    first = run_all()
+    assert [code for code, _, _ in first] == [0, 0, 0, 0, 2, 2, 2, 0]
+    assert first[0][1].startswith("usage: zed")
+    assert "invalid choice: 'bogus'" in first[4][2]
+    assert run_all() == first
+    lines = report.read_text().splitlines()
+    assert len(lines) == 2
+    assert [json.loads(line)["verdict"] for line in lines] == ["YES", "YES"]
+
+
+def test_rebound_solvers_take_effect_after_the_parser_is_built(seq_files, monkeypatch, capsys):
+    assert main(["solve-seq", *seq_files]) == 0
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(zedkit.cli, "solve_seq", exhausted)
+    capsys.readouterr()
+    assert main(["solve-seq", *seq_files]) == 4
+    assert capsys.readouterr().err == "limit exceeded: MemoryError\n"

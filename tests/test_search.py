@@ -1,0 +1,170 @@
+"""The shared backjump search: filtering only the items a binding touches
+leaves the search unchanged, and no search leaks a raised recursion limit."""
+
+import sys
+
+import pytest
+
+from zedkit import (
+    Alphabet,
+    SearchTimeoutError,
+    SeqGenome,
+    elcs_exact_oracle,
+    reduce_3sat_to_set_zed,
+    zed_seq_exact,
+    zed_set_exact,
+)
+from zedkit.generate import random_cnf
+from zedkit.search import backjump_search, recursion_room
+from zedkit.sets import _disjoint_pairs, _search_inputs, build_intersection_graph
+
+
+def colouring(edges, n_items, n_colours):
+    """A graph colouring as backjump_search input: a candidate is (item,
+    colour), and a binding rules out its colour at the item's neighbours."""
+    near = {x: set() for x in range(n_items)}
+    for a, b in edges:
+        near[a].add(b)
+        near[b].add(a)
+    domains = [[(x, k) for k in range(n_colours)] for x in range(n_items)]
+    degree = [len(near[x]) for x in range(n_items)]
+
+    def keep(c, live):
+        return [d for d in live if d[1] != c[1] or d[0] not in near[c[0]]]
+
+    def touches(c):
+        return sorted(near[c[0]])
+
+    return domains, degree, keep, touches
+
+
+class Recorder:
+    """keep wrapped to count its calls and log (c, len(live), len(after)) of
+    each call that shrank a domain."""
+
+    def __init__(self, keep):
+        self.keep = keep
+        self.calls = 0
+        self.shrinks = []
+        self.limits = set()
+
+    def __call__(self, c, live):
+        after = self.keep(c, live)
+        self.calls += 1
+        self.limits.add(sys.getrecursionlimit())
+        if len(after) < len(live):
+            self.shrinks.append((c, len(live), len(after)))
+        return after
+
+
+def both_runs(domains, degree, keep, touches):
+    runs = []
+    for t in (None, touches):
+        rec = Recorder(keep)
+        runs.append((backjump_search(domains, degree, rec, 60.0, t), rec))
+    return runs
+
+
+PETERSEN = [(x, (x + 1) % 5) for x in range(5)] + [(x, x + 5) for x in range(5)] + [
+    (5 + x, 5 + (x + 2) % 5) for x in range(5)
+]
+K4 = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+
+
+@pytest.mark.parametrize("edges, n_items, n_colours, answer", [
+    (PETERSEN, 10, 3, True),
+    (PETERSEN + [(10, 11), (11, 12), (12, 10)], 13, 3, True),
+    (K4 + [(4, 5), (5, 6)], 7, 3, False),
+    ([(x, x + 1) for x in range(8)] + [(8, 0)], 9, 2, False),  # an odd cycle
+])
+def test_touches_keeps_the_toy_search_trace(edges, n_items, n_colours, answer):
+    (full, everything), (near, touched) = both_runs(*colouring(edges, n_items, n_colours))
+    assert (full is not None) == answer
+    assert near == full
+    assert touched.shrinks == everything.shrinks
+    assert touched.calls < everything.calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_touches_keeps_the_set_reduction_trace(seed):
+    g1, g2, _ = reduce_3sat_to_set_zed(random_cnf(seed, 8, 40, distinct_vars=True))
+    genes, domains, degree, touches = _search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    (full, everything), (near, touched) = both_runs(domains, degree, _disjoint_pairs, touches)
+    assert near == full
+    assert touched.shrinks == everything.shrinks
+    assert touched.calls < everything.calls
+
+
+def test_set_touches_name_every_gene_a_pair_can_rule_out():
+    g1, g2, _ = reduce_3sat_to_set_zed(random_cnf(0, 4, 6, distinct_vars=True))
+    genes, domains, degree, touches = _search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    for pair in {c for d in domains for c in d}:
+        near = touches(pair)
+        assert near == sorted(set(near))
+        shrunk = [y for y, d in enumerate(domains) if len(_disjoint_pairs(pair, d)) < len(d)]
+        assert set(shrunk) <= set(near)
+
+
+def path_colouring(n_items, *, closed):
+    edges = [(x, x + 1) for x in range(n_items - 1)] + ([(n_items - 1, 0)] if closed else [])
+    return colouring(edges, n_items, 2)
+
+
+def deep():
+    """An item count whose search needs more than the current recursion limit."""
+    return sys.getrecursionlimit() // 2 + 1
+
+
+@pytest.mark.parametrize("closed, answer", [(False, True), (True, False)])
+def test_backjump_search_restores_the_recursion_limit(closed, answer):
+    n = deep() | 1  # odd, so that the closed path is an odd cycle
+    domains, degree, keep, touches = path_colouring(n, closed=closed)
+    before = sys.getrecursionlimit()
+    rec = Recorder(keep)
+    assert (backjump_search(domains, degree, rec, 60.0, touches) is not None) == answer
+    assert max(rec.limits) > before
+    assert sys.getrecursionlimit() == before
+
+
+def test_backjump_search_restores_the_recursion_limit_on_timeout():
+    domains, degree, keep, touches = path_colouring(deep(), closed=False)
+    before = sys.getrecursionlimit()
+    with pytest.raises(SearchTimeoutError):
+        backjump_search(domains, degree, keep, -1.0, touches)
+    assert sys.getrecursionlimit() == before
+
+
+def test_exact_solvers_restore_the_recursion_limit():
+    before = sys.getrecursionlimit()
+    # 550 genes each, so the search needs a limit above the default 1000
+    for n_vars, answer in (10, True), (6, False):
+        g1, g2, _ = reduce_3sat_to_set_zed(random_cnf(0, n_vars, 60, distinct_vars=True))
+        assert zed_set_exact(g1, g2).answer == answer
+        assert sys.getrecursionlimit() == before
+        with pytest.raises(SearchTimeoutError):
+            zed_set_exact(g1, g2, timeout_s=-1.0)
+        assert sys.getrecursionlimit() == before
+    a = SeqGenome(tuple(range(1, deep())))
+    for b, answer in (a, True), (SeqGenome(tuple(reversed(a.genes))), False):
+        assert zed_seq_exact(a, b).answer == answer
+        assert sys.getrecursionlimit() == before
+
+
+@pytest.mark.parametrize("swap, feasible", [(False, True), (True, False)])
+def test_elcs_oracle_restores_the_recursion_limit(swap, feasible):
+    before = sys.getrecursionlimit()
+    # the memo recursion runs len(a) + len(b) deep; a short b keeps it small
+    a = SeqGenome((1, 2) + tuple(range(3, before + 3)))
+    b = SeqGenome(((2, 1) if swap else (1, 2)) + (3,))
+    best = elcs_exact_oracle(a, b, Alphabet.from_mandatory({1, 2}, a.families))
+    assert (best is not None) == feasible
+    assert sys.getrecursionlimit() == before
+
+
+def test_recursion_room_restores_the_limit_when_its_block_raises():
+    before = sys.getrecursionlimit()
+    with pytest.raises(KeyError):
+        with recursion_room(before + 500):
+            assert sys.getrecursionlimit() == before + 500
+            raise KeyError
+    assert sys.getrecursionlimit() == before
