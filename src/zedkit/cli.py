@@ -33,8 +33,11 @@ from .formats import (
 from .generate import random_cnf, random_seq_pair, random_set_pair
 from .model import Alphabet, verify_seq_certificate
 from .sat import CnfFormula, brute_force_sat, reduce_3sat_to_seq_zed, reduce_3sat_to_set_zed
+from .search import DEFAULT_TIMEOUT_S
 from .selftest import run_selftest
+from .seq import MODES as SEQ_MODES
 from .seq import elcs_exact_oracle, elcs_special, lcs, solve_seq, zed_seq_exact
+from .sets import MODES as SET_MODES
 from .sets import solve_set, verify_set_certificate, zed_set_exact, zed_set_fpt, zed_set_matching
 
 EXIT_YES = 0
@@ -301,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solvers = (
-        ("solve-seq", "ordered", ["auto", "special", "exact"]),
-        ("solve-set", "unordered", ["auto", "matching", "fpt", "exact"]),
+        ("solve-seq", "ordered", SEQ_MODES),
+        ("solve-set", "unordered", SET_MODES),
     )
     for name, model, modes in solvers:
         p = sub.add_parser(name, help=f"decide zero exemplar distance for {model} genomes")
@@ -310,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("g2")
         p.add_argument("--mode", choices=modes, default="auto")
         p.add_argument("--cert-out", help="write the certificate here on YES")
-        p.add_argument("--timeout", type=_finite_seconds, default=120.0,
+        p.add_argument("--timeout", type=_finite_seconds, default=DEFAULT_TIMEOUT_S,
                        help="wall budget for the exact search or the permutation scan (s)")
         p.add_argument("--report", help="append a JSON report line to this file ('-' for stdout)")
         p.set_defaults(func=_cmd_solve)

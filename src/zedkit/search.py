@@ -3,13 +3,13 @@ their own domains and compatibility filters."""
 
 from __future__ import annotations
 
-import contextlib
 import math
-import sys
 import time
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import SearchTimeoutError
+
+DEFAULT_TIMEOUT_S = 120.0  # wall budget of every exact search unless told otherwise
 
 C = TypeVar("C")
 D = TypeVar("D")
@@ -28,18 +28,6 @@ def deadline(timeout_s: float) -> float:
     if math.isnan(timeout_s):
         raise ValueError("timeout_s must be a number of seconds, not NaN")
     return time.monotonic() + timeout_s
-
-
-@contextlib.contextmanager
-def recursion_room(depth: int):
-    """Raise the recursion limit to at least depth inside the with-block and
-    put the previous limit back when it exits, however it exits."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, depth))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
 
 
 def backjump_search(
@@ -70,10 +58,13 @@ def backjump_search(
     degree[x], then smaller x; an item with one live candidate is taken at
     once).  Binding it filters the live candidates of each pending item it
     touches through keep and records the binding as a pruner of each domain
-    it shrank.  A domain wiped out returns its pruners as the conflict set,
-    and a failed subtree whose conflict set misses the current item is jumped
-    over.  Raises SearchTimeoutError (not a NO answer) once timeout_s seconds
-    have passed, ValueError when timeout_s is NaN.
+    it shrank.  A domain wiped out adds its pruners to the binding's conflict
+    set, and an item out of candidates jumps back to the latest item in its
+    conflict set, over every item bound since.  The search is a loop over a
+    stack of frames, as Prosser states it, so its depth is not bounded by
+    the interpreter's recursion limit.  Raises SearchTimeoutError (not a NO
+    answer) once timeout_s seconds have passed, ValueError when timeout_s is
+    NaN.
     """
     n = len(domains)
     stop = deadline(timeout_s)
@@ -84,30 +75,38 @@ def backjump_search(
     trail: list[tuple[int, D, int]] = []
     chosen: list = [None] * n
     bound = [False] * n
+    # one frame per bound item: (item, items pending under it, its untried
+    # candidates, its conflict set, the trail length before its binding)
+    stack: list[tuple[int, list[int], Iterator[C], set[int], int]] = []
 
-    def solve(pending: list[int]):
-        """True on success (bindings left in place); otherwise a conflict set
-        of bound items under which the failure persists."""
-        if time.monotonic() > stop:
-            raise timeout_error(timeout_s)
-        if not pending:
-            return True
-        pick = best = None
-        for y in pending:
-            size = sizes[y]
-            if size == 1:
-                pick = y
-                break
-            if best is None or size < best or size == best and degree[y] > degree[pick]:
-                pick, best = y, size
-        rest = pending.copy()
-        rest.remove(pick)
-        conflict = set(pruners[pick])
-        bound[pick] = True
-        for c in live[pick]:
-            mark = len(trail)
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            y, live[y], sizes[y] = trail.pop()
+            pruners[y].pop()
+
+    pending: list[int] | None = list(range(n))
+    while True:
+        if pending is not None:  # descend: bind the next item
+            if time.monotonic() > stop:
+                raise timeout_error(timeout_s)
+            if not pending:
+                return chosen
+            pick = best = None
+            for y in pending:
+                size = sizes[y]
+                if size == 1:
+                    pick = y
+                    break
+                if best is None or size < best or size == best and degree[y] > degree[pick]:
+                    pick, best = y, size
+            rest = pending.copy()
+            rest.remove(pick)
+            bound[pick] = True
+            stack.append((pick, rest, iter(live[pick]), set(pruners[pick]), len(trail)))
+        pick, rest, cands, conflict, mark = stack[-1]
+        pending = None
+        for c in cands:
             chosen[pick] = c
-            sub = None
             # both orders are ascending, so the same domain wipes out first
             for y in rest if touches is None else touches(c):
                 if bound[y]:
@@ -120,23 +119,19 @@ def backjump_search(
                     sizes[y] = size
                     pruners[y].append(pick)
                     if not size:
-                        sub = set(pruners[y])
+                        conflict.update(pruners[y])
                         break
-            if sub is None:
-                sub = solve(rest)
-                if sub is True:
-                    return True
-            while len(trail) > mark:
-                y, live[y], sizes[y] = trail.pop()
-                pruners[y].pop()
-            if pick not in sub:
-                # the failure does not involve this item's binding
-                bound[pick] = False
-                return sub
-            conflict |= sub
-        bound[pick] = False
-        conflict.discard(pick)
-        return conflict
-
-    with recursion_room(2 * n + 100):
-        return chosen if solve(list(range(n))) is True else None
+            else:
+                pending = rest  # no domain wiped out
+                break
+            undo(mark)
+        if pending is None:
+            # out of candidates: jump back to the latest item in the conflict
+            # set; the frames above it fail under the same bindings
+            conflict.discard(pick)
+            while stack and stack[-1][0] not in conflict:
+                bound[stack.pop()[0]] = False
+            if not stack:
+                return None
+            stack[-1][3].update(conflict)
+            undo(stack[-1][4])

@@ -28,7 +28,7 @@ from .model import (
     classify_instance,
     occurrence_profile,
 )
-from .search import backjump_search, recursion_room
+from .search import DEFAULT_TIMEOUT_S, backjump_search
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,8 @@ def _non_crossing(c: tuple[int, int], live: _LivePairs) -> _LivePairs:
 
 
 def zed_seq_exact(
-    g1: SeqGenome, g2: SeqGenome, *, timeout_s: float = 120.0, max_families: int | None = None
+    g1: SeqGenome, g2: SeqGenome, *, timeout_s: float = DEFAULT_TIMEOUT_S,
+    max_families: int | None = None,
 ) -> SeqDecision:
     """Exact decision for the general (NP-hard) problem.
 
@@ -287,6 +288,8 @@ def zed_seq_exact(
     return SeqDecision(True, SeqGenome(tuple(g1.genes[p] for p, _ in sorted(chosen))))
 
 
+MODES = ("auto", "special", "exact")  # solve_seq's modes
+
 _SEQ_ROUTES = {
     InstanceClass.FAMILY_MISMATCH: "family-mismatch",
     InstanceClass.BOTH_EXEMPLAR: "equality",
@@ -297,7 +300,7 @@ _SEQ_ROUTES = {
 
 
 def solve_seq(
-    g1: SeqGenome, g2: SeqGenome, *, mode: str = "auto", timeout_s: float = 120.0
+    g1: SeqGenome, g2: SeqGenome, *, mode: str = "auto", timeout_s: float = DEFAULT_TIMEOUT_S
 ) -> tuple[str, SeqDecision]:
     """Decide zero exemplar distance and name the route taken.
 
@@ -307,8 +310,9 @@ def solve_seq(
     ("equality", "subsequence", "special") and a general pair to the exact
     search ("exact").
     """
-    if mode not in ("auto", "special", "exact"):
-        raise ValueError(f"unknown mode {mode!r} (expected auto, special or exact)")
+    if mode not in MODES:
+        expected = f"{', '.join(MODES[:-1])} or {MODES[-1]}"
+        raise ValueError(f"unknown mode {mode!r} (expected {expected})")
     route = mode
     if mode == "auto":
         cls = classify_instance(g1, g2)
@@ -323,10 +327,12 @@ def solve_seq(
 def elcs_exact_oracle(
     a: SeqGenome, b: SeqGenome, alphabet: Alphabet, *, max_mandatory: int = 15
 ) -> SeqGenome | None:
-    """Reference search for the mandatory-symbol LCS, exact for arbitrary
-    occurrence counts: memoized over (position in a, position in b, set of
-    mandatory families used), maximizing length and never reusing a mandatory
-    family.  Returns None when no common subsequence covers all of them."""
+    """Reference solver for the mandatory-symbol LCS, exact for arbitrary
+    occurrence counts: dynamic programming over prefixes of a and b and the
+    set of mandatory families used, maximizing length and never reusing a
+    mandatory family.  The traceback is lcs's canonical one, so with no
+    mandatory families the result is lcs(a, b).  Returns None when no common
+    subsequence covers all of them."""
     if not (alphabet.mandatory <= a.families and alphabet.mandatory <= b.families):
         return None
     mandatory = sorted(alphabet.mandatory)
@@ -337,51 +343,38 @@ def elcs_exact_oracle(
     bit = {f: 1 << k for k, f in enumerate(mandatory)}
     full = (1 << len(mandatory)) - 1
     ga, gb = a.genes, b.genes
-    n, m = len(ga), len(gb)
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def best(i: int, j: int, mask: int) -> int:
-        """Max extra length from (i, j); -1 when the missing mandatories cannot all be placed."""
-        if i == n or j == m:
-            return 0 if mask == full else -1
-        key = (i, j, mask)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        res = max(best(i + 1, j, mask), best(i, j + 1, mask))
-        if ga[i] == gb[j]:
-            fb = bit.get(abs(ga[i]))
-            if fb is None:
-                sub = best(i + 1, j + 1, mask)
-                if sub >= 0:
-                    res = max(res, 1 + sub)
-            elif not mask & fb:
-                sub = best(i + 1, j + 1, mask | fb)
-                if sub >= 0:
-                    res = max(res, 1 + sub)
-        memo[key] = res
-        return res
-
-    with recursion_room(n + m + 100):
-        if best(0, 0, 0) < 0:
-            return None
-        out: list[int] = []
-        i = j = mask = 0
-        while i < n and j < m:
-            cur = best(i, j, mask)
-            if ga[i] == gb[j]:
-                fb = bit.get(abs(ga[i]))
-                if fb is None or not mask & fb:
-                    nmask = mask | (fb or 0)
-                    sub = best(i + 1, j + 1, nmask)
-                    if sub >= 0 and 1 + sub == cur:
-                        out.append(ga[i])
-                        i += 1
-                        j += 1
-                        mask = nmask
-                        continue
-            if best(i + 1, j, mask) == cur:
-                i += 1
-            else:
-                j += 1
-        return SeqGenome(tuple(out))
+    # best[i][j] maps a set of mandatory families, each used once, to the
+    # longest common subsequence of a[:i] and b[:j] using exactly that set
+    best = [[{0: 0}] * (len(gb) + 1)]
+    for x in ga:
+        up, row = best[-1], [{0: 0}]
+        fb = bit.get(abs(x), 0)  # 0 for an optional family: no bit to test or set
+        for j, y in enumerate(gb):
+            cell = dict(up[j + 1])
+            for mask, k in row[j].items():
+                if cell.get(mask, -1) < k:
+                    cell[mask] = k
+            if x == y:
+                for mask, k in up[j].items():
+                    if not mask & fb and cell.get(mask | fb, -1) <= k:
+                        cell[mask | fb] = k + 1
+            row.append(cell)
+        best.append(row)
+    i, j, mask = len(ga), len(gb), full
+    if mask not in best[i][j]:
+        return None
+    # lcs's canonical traceback: a match, then a drop from a, then from b
+    out: list[int] = []
+    while i and j:
+        k = best[i][j][mask]
+        x = ga[i - 1]
+        fb = bit.get(abs(x), 0)
+        if x == gb[j - 1] and mask & fb == fb and best[i - 1][j - 1].get(mask ^ fb) == k - 1:
+            out.append(x)
+            i, j, mask = i - 1, j - 1, mask ^ fb
+        elif best[i - 1][j].get(mask) == k:
+            i -= 1
+        else:
+            j -= 1
+    out.reverse()
+    return SeqGenome(tuple(out))

@@ -31,7 +31,7 @@ from .model import (
     SetGenome,
     classify_instance,
 )
-from .search import backjump_search, deadline, timeout_error
+from .search import DEFAULT_TIMEOUT_S, backjump_search, deadline, timeout_error
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,9 @@ def _matching_decision(g1: SetGenome, g2: SetGenome, cls: InstanceClass) -> SetD
     return SetDecision(True, cert, witness_matching=matching)
 
 
-def zed_set_fpt(g1: SetGenome, g2: SetGenome, *, timeout_s: float = 120.0) -> SetDecision:
+def zed_set_fpt(
+    g1: SetGenome, g2: SetGenome, *, timeout_s: float = DEFAULT_TIMEOUT_S
+) -> SetDecision:
     """Exact decision for the general case, fixed-parameter in the chromosome
     count: with k = max(k1, k2) (the shorter genome read as padded by empty
     chromosomes), scan all k! pairings of chromosomes for one whose
@@ -211,7 +213,9 @@ def _search_inputs(g1: SetGenome, g2: SetGenome, graph: IntersectionGraph):
     return genes, cands, degree, touches
 
 
-def zed_set_exact(g1: SetGenome, g2: SetGenome, *, timeout_s: float = 120.0) -> SetDecision:
+def zed_set_exact(
+    g1: SetGenome, g2: SetGenome, *, timeout_s: float = DEFAULT_TIMEOUT_S
+) -> SetDecision:
     """Exact decision by search over genes.
 
     Every gene must pick a covering chromosome pair (i, j) with the gene in
@@ -241,8 +245,11 @@ def zed_set_exact(g1: SetGenome, g2: SetGenome, *, timeout_s: float = 120.0) -> 
     )
 
 
+MODES = ("auto", "matching", "fpt", "exact")  # solve_set's modes
+
+
 def solve_set(
-    g1: SetGenome, g2: SetGenome, *, mode: str = "auto", timeout_s: float = 120.0
+    g1: SetGenome, g2: SetGenome, *, mode: str = "auto", timeout_s: float = DEFAULT_TIMEOUT_S
 ) -> tuple[str, SetDecision]:
     """Decide zero exemplar distance and name the route taken.
 
@@ -252,8 +259,9 @@ def solve_set(
     classes to the matching and a general pair to the exact search; the
     permutation scan runs only when asked for.
     """
-    if mode not in ("auto", "matching", "fpt", "exact"):
-        raise ValueError(f"unknown mode {mode!r} (expected auto, matching, fpt or exact)")
+    if mode not in MODES:
+        expected = f"{', '.join(MODES[:-1])} or {MODES[-1]}"
+        raise ValueError(f"unknown mode {mode!r} (expected {expected})")
     route = mode
     if mode == "auto":
         cls = classify_instance(g1, g2)

@@ -260,8 +260,8 @@ def test_verify_set_worked_certificate(set_files, tmp_path):
 def test_verify_set_long_augmenting_paths(tmp_path):
     # hosts {h, h+1} and a last host {k}, blocks the singletons: block {h}
     # first displaces {h-1}, which displaces {h-2}, ... down to {1}, so the
-    # augmenting paths grow k steps long.  A fresh interpreter keeps any
-    # recursion-limit raise made earlier in the test session out of play.
+    # augmenting paths grow k steps long.  A fresh interpreter runs them
+    # under the default recursion limit, whatever the test session has set.
     k = 1500
     hosts = tmp_path / "hosts.set"
     hosts.write_text("".join(f"{h} {h + 1}\n" for h in range(1, k)) + f"{k}\n")

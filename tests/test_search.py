@@ -1,21 +1,29 @@
 """The shared backjump search: filtering only the items a binding touches
-leaves the search unchanged, and no search leaks a raised recursion limit."""
+leaves the search unchanged.  No search recurses: none changes the recursion
+limit, concurrent searches are safe, and none leaves a reference cycle."""
 
+import gc
+import os
+import pathlib
+import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import zedkit
 from zedkit import (
     Alphabet,
     SearchTimeoutError,
     SeqGenome,
     elcs_exact_oracle,
+    reduce_3sat_to_seq_zed,
     reduce_3sat_to_set_zed,
     zed_seq_exact,
     zed_set_exact,
 )
-from zedkit.generate import random_cnf
-from zedkit.search import backjump_search, recursion_room
+from zedkit.generate import random_cnf, random_seq_pair
+from zedkit.search import backjump_search
 from zedkit.sets import _disjoint_pairs, _search_inputs, build_intersection_graph
 
 
@@ -111,7 +119,8 @@ def path_colouring(n_items, *, closed):
 
 
 def deep():
-    """An item count whose search needs more than the current recursion limit."""
+    """An item count that a search recursing once per item could not reach
+    under the current recursion limit."""
     return sys.getrecursionlimit() // 2 + 1
 
 
@@ -122,7 +131,7 @@ def test_backjump_search_restores_the_recursion_limit(closed, answer):
     before = sys.getrecursionlimit()
     rec = Recorder(keep)
     assert (backjump_search(domains, degree, rec, 60.0, touches) is not None) == answer
-    assert max(rec.limits) > before
+    assert rec.limits == {before}
     assert sys.getrecursionlimit() == before
 
 
@@ -150,21 +159,82 @@ def test_exact_solvers_restore_the_recursion_limit():
         assert sys.getrecursionlimit() == before
 
 
+def elcs_long_pair(swap=False):
+    # a is longer than the recursion limit; a short b keeps the table small
+    a = SeqGenome((1, 2) + tuple(range(3, sys.getrecursionlimit() + 3)))
+    b = SeqGenome(((2, 1) if swap else (1, 2)) + (3,))
+    return a, b, Alphabet.from_mandatory({1, 2}, a.families)
+
+
 @pytest.mark.parametrize("swap, feasible", [(False, True), (True, False)])
 def test_elcs_oracle_restores_the_recursion_limit(swap, feasible):
     before = sys.getrecursionlimit()
-    # the memo recursion runs len(a) + len(b) deep; a short b keeps it small
-    a = SeqGenome((1, 2) + tuple(range(3, before + 3)))
-    b = SeqGenome(((2, 1) if swap else (1, 2)) + (3,))
-    best = elcs_exact_oracle(a, b, Alphabet.from_mandatory({1, 2}, a.families))
-    assert (best is not None) == feasible
+    assert (elcs_exact_oracle(*elcs_long_pair(swap)) is not None) == feasible
     assert sys.getrecursionlimit() == before
 
 
-def test_recursion_room_restores_the_limit_when_its_block_raises():
-    before = sys.getrecursionlimit()
-    with pytest.raises(KeyError):
-        with recursion_room(before + 500):
-            assert sys.getrecursionlimit() == before + 500
-            raise KeyError
-    assert sys.getrecursionlimit() == before
+SEARCHES = {
+    "backjump_search": lambda: backjump_search(*path_colouring(deep(), closed=False)[:3], 60.0),
+    "zed_seq_exact": lambda: zed_seq_exact(*[SeqGenome(tuple(range(1, 3000)))] * 2).answer,
+    "zed_set_exact": lambda: zed_set_exact(
+        *reduce_3sat_to_set_zed(random_cnf(0, 10, 60, distinct_vars=True))[:2]
+    ).answer,
+    "elcs_exact_oracle": lambda: elcs_exact_oracle(*elcs_long_pair()),
+}
+
+
+@pytest.mark.parametrize("name", SEARCHES)
+def test_no_search_sets_the_recursion_limit(name, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sys, "setrecursionlimit", calls.append)
+    assert SEARCHES[name]()  # each input has a solution
+    assert calls == []
+
+
+def test_concurrent_searches_are_safe():
+    # a search that raised and restored the process-wide limit could restore
+    # it under another thread still running deep; a fresh interpreter keeps
+    # a crash out of the test session
+    script = textwrap.dedent("""
+        import sys, threading
+        from zedkit import SeqGenome, zed_seq_exact
+        before = sys.getrecursionlimit()
+        answers = []
+
+        def run(n):
+            a = SeqGenome(tuple(range(1, n + 1)))
+            answers.extend(zed_seq_exact(a, a).answer for _ in range(3))
+
+        threads = [threading.Thread(target=run, args=(n,)) for n in (1499, 1199)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        print(answers, sys.getrecursionlimit() == before)
+    """)
+    src = str(pathlib.Path(zedkit.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, f"{[True] * 6} True\n"), proc.stderr
+
+
+def test_searches_leave_no_reference_cycles():
+    formula = random_cnf(0, 8, 40, distinct_vars=True)
+    s1, s2, _ = reduce_3sat_to_set_zed(formula)
+    q1, q2, _ = reduce_3sat_to_seq_zed(formula)
+    a, b = random_seq_pair(0, 60, max_occ=3)
+    alphabet = Alphabet.from_mandatory({1, 2}, a.families | b.families)
+    calls = [
+        lambda: zed_set_exact(s1, s2),
+        lambda: zed_seq_exact(q1, q2),
+        lambda: elcs_exact_oracle(a, b, alphabet),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

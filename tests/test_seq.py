@@ -179,7 +179,12 @@ def test_elcs_oracle_worked_pair():
 def test_elcs_oracle_plain_lcs_when_no_mandatory():
     a, b = SeqGenome.of(1, 2, 1, 3), SeqGenome.of(2, 1, 3, 3)
     alphabet = Alphabet(frozenset(), frozenset({1, 2, 3}))
-    assert len(elcs_exact_oracle(a, b, alphabet)) == len(lcs(a, b))
+    assert elcs_exact_oracle(a, b, alphabet) == lcs(a, b)
+    # the same canonical traceback, not only the same length
+    for seed in range(40):
+        a, b = random_seq_pair(seed, 3 + seed % 12, max_occ=1 + seed % 3)
+        alphabet = Alphabet(frozenset(), a.families | b.families)
+        assert elcs_exact_oracle(a, b, alphabet) == lcs(a, b)
 
 
 def test_elcs_oracle_infeasible_and_cap():
