@@ -2,10 +2,11 @@
 
 Subcommands: solve-seq, solve-set, elcs, reduce, verify, sat, gen, selftest,
 bench.  solve-seq and solve-set share one command, and --timeout is the only
-bound on their searches.  Exit codes: 0 yes/feasible, 1 no/infeasible, 2 usage
-or parse error, 3 precondition violation, 4 search timeout, size cap or memory
-exhausted.  Verdicts go to stdout, diagnostics to stderr; --report appends one
-JSON object per run.
+bound on their searches; elcs takes the same --timeout for its oracle.  Exit
+codes: 0 yes/feasible, 1 no/infeasible, 2 usage or parse error, 3
+precondition violation, 4 search timeout, size cap or memory exhausted.
+Verdicts go to stdout, diagnostics to stderr; --report appends one JSON
+object per run.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .sat import CnfFormula, brute_force_sat, reduce_3sat_to_seq_zed, reduce_3sa
 from .search import DEFAULT_TIMEOUT_S
 from .selftest import run_selftest
 from .seq import MODES as SEQ_MODES
-from .seq import elcs_exact_oracle, elcs_special, lcs, solve_seq, zed_seq_exact
+from .seq import elcs_exact_oracle, elcs_special, lcs, solve_seq, zed_seq_exact, zed_seq_special
 from .sets import MODES as SET_MODES
 from .sets import solve_set, verify_set_certificate, zed_set_exact, zed_set_fpt, zed_set_matching
 
@@ -129,7 +130,8 @@ def _cmd_elcs(args) -> int:
             print(f"precondition violated: {exc}; rerun with --mode oracle", file=sys.stderr)
             return EXIT_PRECONDITION
     else:
-        best = elcs_exact_oracle(a, b, alphabet, max_mandatory=args.max_mandatory)
+        best = elcs_exact_oracle(a, b, alphabet, max_mandatory=args.max_mandatory,
+                                 timeout_s=args.timeout)
     elapsed = (time.perf_counter() - t0) * 1000
     if best is None:
         print("INFEASIBLE")
@@ -246,6 +248,10 @@ def _bench_scenarios():
     b = parse_seq_genome(" ".join(str(rng.randint(1, 40)) for _ in range(5000)))
     yield "lcs n=m=5000", 5.0, lambda: lcs(a, b)
 
+    # 7980 x 7948 genes but only 6252 signed match pairs
+    p1, p2 = random_seq_pair(7, 6000, max_occ=3, special=True)
+    yield "special LCS 6000 families", 1.0, lambda: zed_seq_special(p1, p2)
+
     s1, s2 = random_set_pair(2024, 2000, 200, special=True)
     yield "matching k=200 |S|=2000", 5.0, lambda: zed_set_matching(s1, s2)
     t1, t2 = random_set_pair(2024, 20000, 2000, special=True)
@@ -324,6 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mandatory", default="", help="comma- or space-separated mandatory families")
     p.add_argument("--mode", choices=["special", "oracle"], default="special")
     p.add_argument("--max-mandatory", type=_positive_int, default=15, help="cap for oracle mode")
+    p.add_argument("--timeout", type=_finite_seconds, default=DEFAULT_TIMEOUT_S,
+                   help="wall budget for oracle mode (s)")
     p.add_argument("--out", help="write the subsequence here when feasible")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_elcs)

@@ -21,7 +21,16 @@ from .sat import (
     reduce_3sat_to_seq_zed,
     reduce_3sat_to_set_zed,
 )
-from .seq import elcs_exact_oracle, elcs_feasible, elcs_special, zed_seq_exact, zed_seq_special
+from .seq import (
+    WeightAssignment,
+    _dense_max_weight_subsequence,
+    _sparse_max_weight_subsequence,
+    elcs_exact_oracle,
+    elcs_feasible,
+    elcs_special,
+    zed_seq_exact,
+    zed_seq_special,
+)
 from .sets import verify_set_certificate, zed_set_exact, zed_set_fpt, zed_set_matching
 
 
@@ -51,6 +60,28 @@ def _elcs_special_vs_oracle(seed: int) -> str | None:
         return "feasibility test disagrees with oracle"
     if fast is not None and len(fast) != len(slow):
         return f"length mismatch: special={len(fast)} oracle={len(slow)}"
+    return None
+
+
+def _lcs_sparse_vs_dense(seed: int) -> str | None:
+    rng = SplitMix64(seed)
+    n = 2 + rng.randint(0, 300)
+    pairs = (
+        ("special", random_seq_pair(seed, n, max_occ=3, special=True)),
+        ("general", random_seq_pair(seed, 2 + n % 20, max_occ=3)),
+    )
+    for kind, (g1, g2) in pairs:
+        mandatory = frozenset(f for f in sorted(g1.families) if rng.coin())
+        alphabet = Alphabet.from_mandatory(mandatory, g1.families | g2.families)
+        for name, weights in (
+            ("unit", WeightAssignment.uniform(g1.families | g2.families)),
+            ("elcs", WeightAssignment.elcs(alphabet, g1, g2)),
+        ):
+            sparse = _sparse_max_weight_subsequence(g1.genes, g2.genes, weights.weight_of)
+            dense = _dense_max_weight_subsequence(g1.genes, g2.genes, weights.weight_of)
+            if sparse != dense:
+                return (f"{name} weights, {kind} {len(g1)}x{len(g2)} pair: "
+                        f"sparse {sparse[:8]}... != dense {dense[:8]}...")
     return None
 
 
@@ -109,6 +140,7 @@ def _set_fpt_vs_exact(seed: int) -> str | None:
 SUITES: tuple[tuple[str, Callable[[int], str | None]], ...] = (
     ("seq-special-vs-exact", _seq_special_vs_exact),
     ("elcs-special-vs-oracle", _elcs_special_vs_oracle),
+    ("lcs-sparse-vs-dense", _lcs_sparse_vs_dense),
     ("sat-vs-seq-zed", _sat_vs_seq_zed),
     ("sat-vs-set-zed", _sat_vs_set_zed),
     ("set-three-way", _set_three_way),

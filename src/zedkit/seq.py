@@ -9,7 +9,9 @@ instances of the NP-hard general problem.
 from __future__ import annotations
 
 import heapq
+import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -28,7 +30,7 @@ from .model import (
     classify_instance,
     occurrence_profile,
 )
-from .search import DEFAULT_TIMEOUT_S, backjump_search
+from .search import DEFAULT_TIMEOUT_S, backjump_search, deadline, timeout_error
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,87 @@ def is_subsequence(x: SeqGenome, y: SeqGenome) -> bool:
     return _subsequence_embeds(x.genes, y.genes)
 
 
+# Measured costs in dense-table cells (see CHANGES.md): the sparse kernel
+# spends about as long on one match pair as the dense one on 200 cells, and
+# the dense one spends about as long on the numpy calls for one row of a as
+# on 1500 cells.  On random n = m pairs the rule switches at nm/r of about
+# 6, 50 and 150 for n = 50, 500 and 5000; the measured crossovers were
+# about 4, 50 and 170.
+_CELLS_PER_MATCH = 200
+_CELLS_PER_ROW = 1500
+
+
 def _max_weight_subsequence(
     a: tuple[int, ...], b: tuple[int, ...], weight_of: Mapping[int, int]
 ) -> tuple[int, ...]:
-    """Maximum-total-weight common subsequence, canonical traceback.
+    """Maximum-total-weight common subsequence, canonical traceback: read
+    from the end, it prefers a match over dropping from a over dropping
+    from b, which pins a unique output among equal-weight optima.
 
-    Row recurrence vectorized with a running maximum; traceback prefers a
-    match over dropping from a over dropping from b, which pins a unique
-    output among equal-weight optima.
-    """
+    The sparse kernel runs when every family of a weighs more than 0 and
+    the r signed match pairs cost no more than the dense table would; the
+    dense kernel runs otherwise.  Both return the same tuple."""
+    count = Counter(b)
+    r = sum(count[g] for g in a)
+    if (r * _CELLS_PER_MATCH <= len(a) * (len(b) + _CELLS_PER_ROW)
+            and all(weight_of[abs(g)] > 0 for g in a)):
+        return _sparse_max_weight_subsequence(a, b, weight_of)
+    return _dense_max_weight_subsequence(a, b, weight_of)
+
+
+def _sparse_max_weight_subsequence(
+    a: tuple[int, ...], b: tuple[int, ...], weight_of: Mapping[int, int]
+) -> tuple[int, ...]:
+    """_max_weight_subsequence over the signed match pairs, for positive
+    weights only: O((r + n) log m) time and O(r + m) memory for r pairs
+    (Hunt & Szymanski 1977, with weights).
+
+    A match (p, q) gets the chain value w(a[p]) plus the best value of a
+    match strictly above and left of it, read from a staircase of
+    (column, value) pairs, both increasing.  With positive weights the
+    matches of one value form an antichain, so their columns fall as their
+    rows rise.  From a cell (i, j) of value v, the dense traceback's walk up
+    and left then ends at a level-v match in the largest column q <= j
+    that holds one, and every match in column q carries b[q]: the output
+    depends on the columns alone."""
+    at: dict[int, list[int]] = {}  # signed gene -> its 1-based positions in b
+    for q, g in enumerate(b, 1):
+        at.setdefault(g, []).append(q)
+    cols: list[int] = []
+    vals: list[int] = []
+    levels: dict[int, list[int]] = {}  # value -> minus the columns of its matches
+    for g in a:
+        qs = at.get(g)
+        if qs is None:
+            continue
+        w = weight_of[abs(g)]
+        # right to left, so a match never reads a value of its own row
+        for q in reversed(qs):
+            k = bisect_left(cols, q)
+            v = (vals[k - 1] if k else 0) + w
+            end = k
+            while end < len(vals) and vals[end] <= v:
+                end += 1
+            if end > k or k == len(cols) or cols[k] > q:  # else column q holds more
+                cols[k:end] = (q,)
+                vals[k:end] = (v,)
+            levels.setdefault(v, []).append(-q)
+    out: list[int] = []
+    j, v = len(b), vals[-1] if vals else 0
+    while v:
+        negcols = levels[v]
+        j = -negcols[bisect_left(negcols, -j)] - 1
+        out.append(b[j])
+        v -= weight_of[abs(b[j])]
+    out.reverse()
+    return tuple(out)
+
+
+def _dense_max_weight_subsequence(
+    a: tuple[int, ...], b: tuple[int, ...], weight_of: Mapping[int, int]
+) -> tuple[int, ...]:
+    """_max_weight_subsequence over the full table: row recurrence
+    vectorized with a running maximum, then the canonical traceback."""
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return ()
@@ -325,14 +399,18 @@ def solve_seq(
 
 
 def elcs_exact_oracle(
-    a: SeqGenome, b: SeqGenome, alphabet: Alphabet, *, max_mandatory: int = 15
+    a: SeqGenome, b: SeqGenome, alphabet: Alphabet, *, max_mandatory: int = 15,
+    timeout_s: float = DEFAULT_TIMEOUT_S,
 ) -> SeqGenome | None:
     """Reference solver for the mandatory-symbol LCS, exact for arbitrary
     occurrence counts: dynamic programming over prefixes of a and b and the
     set of mandatory families used, maximizing length and never reusing a
     mandatory family.  The traceback is lcs's canonical one, so with no
     mandatory families the result is lcs(a, b).  Returns None when no common
-    subsequence covers all of them."""
+    subsequence covers all of them.  Raises SearchTimeoutError once timeout_s
+    seconds have passed (the clock is read once per symbol of a),
+    ValueError when timeout_s is NaN."""
+    stop = deadline(timeout_s)
     if not (alphabet.mandatory <= a.families and alphabet.mandatory <= b.families):
         return None
     mandatory = sorted(alphabet.mandatory)
@@ -347,6 +425,8 @@ def elcs_exact_oracle(
     # longest common subsequence of a[:i] and b[:j] using exactly that set
     best = [[{0: 0}] * (len(gb) + 1)]
     for x in ga:
+        if time.monotonic() > stop:
+            raise timeout_error(timeout_s)
         up, row = best[-1], [{0: 0}]
         fb = bit.get(abs(x), 0)  # 0 for an optional family: no bit to test or set
         for j, y in enumerate(gb):

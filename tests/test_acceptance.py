@@ -3,6 +3,7 @@ enforcing its stated runtime budget.  Run `pytest tests/test_acceptance.py -v -s
 to see the per-criterion lines as they pass."""
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -378,3 +379,20 @@ def test_criterion_12_set_reductions_n12():
     assert sw.elapsed < 15.0
     report(12, f"set reductions of three random n=12, m=60 formulas ({'/'.join(verdicts)}) agree "
                f"with the oracle ({sw.elapsed:.1f}s)")
+
+
+def test_criterion_13_special_lcs_sparse():
+    # 7980 x 7948 genes with 6252 signed match pairs: the dense table, 63M
+    # cells, takes 318 MB and 0.73 s on this pair
+    g1, g2 = random_seq_pair(7, 6000, max_occ=3, special=True)
+    tracemalloc.start()
+    try:
+        with stopwatch() as sw:
+            dec = zed_seq_special(g1, g2)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert not dec.answer
+    assert peak_mb < 32.0
+    assert sw.elapsed < 1.0
+    report(13, f"special LCS on 6000 families in {sw.elapsed:.2f}s, peak {peak_mb:.1f} MB")

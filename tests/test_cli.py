@@ -364,6 +364,7 @@ def test_selftest_small_run(capsys):
     assert main(["selftest", "--budget", "60", "--cases", "6", "--min-cases", "3"]) == 0
     out = capsys.readouterr().out
     assert "seq-special-vs-exact: 6 cases" in out
+    assert "lcs-sparse-vs-dense: 6 cases" in out
     assert "all suites agree" in out
 
 
@@ -376,7 +377,7 @@ def test_run_selftest_flags_a_short_run_with_budget_to_spare():
 
 def test_usage_errors(tmp_path, data_dir, seq_files, set_files):
     assert main(["solve-seq", *seq_files, "--mode", "bogus"]) == 2
-    for command, files in ("solve-seq", seq_files), ("solve-set", set_files):
+    for command, files in ("solve-seq", seq_files), ("solve-set", set_files), ("elcs", seq_files):
         assert main([command, *files, "--timeout", "nan"]) == 2
         assert main([command, *files, "--timeout", "inf"]) == 2
     for cap in "0", "-1":
@@ -396,6 +397,7 @@ def test_usage_errors(tmp_path, data_dir, seq_files, set_files):
     pytest.param("solve-set", "exact", id="exact"),
     pytest.param("solve-set", "fpt", id="fpt"),
     pytest.param("solve-seq", "exact", id="seq-exact"),
+    pytest.param("elcs", "oracle", id="elcs-oracle"),
 ])
 def test_solve_set_timeout_exit_code(request, command, mode):
     files = request.getfixturevalue("set_files" if command == "solve-set" else "seq_files")

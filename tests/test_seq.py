@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from zedkit import (
     CapExceededError,
     MissingWeightError,
     PreconditionViolatedError,
+    SearchTimeoutError,
     SeqDecision,
     SeqGenome,
     WeightAssignment,
@@ -34,8 +36,13 @@ from zedkit import (
     zed_seq_exact,
     zed_seq_special,
 )
+from zedkit import seq
 from zedkit.generate import SplitMix64, random_seq_pair
-from zedkit.seq import total_weight
+from zedkit.seq import (
+    _dense_max_weight_subsequence,
+    _sparse_max_weight_subsequence,
+    total_weight,
+)
 
 signed_genes = st.builds(
     lambda f, s: f * s, st.integers(1, 8), st.sampled_from([1, -1])
@@ -89,6 +96,93 @@ def test_lcs_matches_enumeration(a, b):
 def test_uniform_weights_degenerate_to_lcs(a, b):
     weights = WeightAssignment.uniform(a.families | b.families)
     assert len(weighted_lcs(a, b, weights)) == len(lcs(a, b))
+
+
+pair_genes = st.lists(
+    st.builds(lambda f, s: f * s, st.integers(1, 6), st.sampled_from([1, -1])), max_size=30
+).map(tuple)
+
+
+@st.composite
+def weighted_pairs(draw, kind):
+    """Two signed gene tuples and positive weights of one kind for their families."""
+    a, b = draw(pair_genes), draw(pair_genes)
+    fams = sorted({abs(g) for g in a + b})
+    if kind == "unit":
+        return a, b, {f: 1 for f in fams}
+    if kind == "random":
+        return a, b, {f: draw(st.integers(1, 9)) for f in fams}
+    mandatory = draw(st.sets(st.sampled_from(fams))) if fams else set()
+    alphabet = Alphabet.from_mandatory(mandatory, fams)
+    return a, b, WeightAssignment.elcs(alphabet, SeqGenome(a), SeqGenome(b)).weight_of
+
+
+@pytest.mark.parametrize("kind", ["unit", "elcs", "random"])
+@given(data=st.data())
+@settings(max_examples=300)
+def test_sparse_kernel_matches_dense(kind, data):
+    a, b, w = data.draw(weighted_pairs(kind))
+    assert _sparse_max_weight_subsequence(a, b, w) == _dense_max_weight_subsequence(a, b, w)
+
+
+@pytest.mark.parametrize("a, b, expected", [
+    pytest.param((), (1, 2), (), id="empty-a"),
+    pytest.param((1, -2), (), (), id="empty-b"),
+    pytest.param((), (), (), id="both-empty"),
+    pytest.param((1, 2, 3), (-1, -2, 4), (), id="no-matches"),
+    pytest.param((5,) * 7, (5,) * 4, (5,) * 4, id="one-symbol-repeated"),
+    pytest.param((-5, 5), (5, -5, 5), (-5, 5), id="one-family-both-signs"),
+])
+def test_sparse_kernel_edges(a, b, expected):
+    for w in {f: 1 for f in range(1, 6)}, {1: 2, 2: 3, 3: 1, 4: 1, 5: 3}:
+        assert _sparse_max_weight_subsequence(a, b, w) == expected
+        assert _dense_max_weight_subsequence(a, b, w) == expected
+
+
+def kernel_calls(monkeypatch):
+    """Record which kernel each _max_weight_subsequence call runs."""
+    calls = []
+    for name in "_sparse_max_weight_subsequence", "_dense_max_weight_subsequence":
+        def spy(a, b, w, kernel=getattr(seq, name), name=name):
+            calls.append(name.split("_")[1])
+            return kernel(a, b, w)
+        monkeypatch.setattr(seq, name, spy)
+    return calls
+
+
+def test_kernel_dispatch_by_match_density(monkeypatch):
+    calls = kernel_calls(monkeypatch)
+    g1, g2 = random_seq_pair(3, 1000, max_occ=3, special=True)
+    lcs(g1, g2)
+    rng = SplitMix64(2024)
+    a = SeqGenome(tuple(rng.randint(1, 40) for _ in range(500)))
+    b = SeqGenome(tuple(rng.randint(1, 40) for _ in range(500)))
+    lcs(a, b)
+    assert calls == ["sparse", "dense"]
+
+
+def test_zero_weight_keeps_the_dense_path(monkeypatch):
+    g1, g2 = random_seq_pair(4, 300, max_occ=3, special=True)
+    weights = WeightAssignment({f: int(f != 7) for f in g1.families})
+    expected = _dense_max_weight_subsequence(g1.genes, g2.genes, weights.weight_of)
+    calls = kernel_calls(monkeypatch)
+    assert weighted_lcs(g1, g2, weights).genes == expected
+    assert calls == ["dense"]
+    # the same pair with family 7 weighted 1 takes the sparse kernel
+    assert len(weighted_lcs(g1, g2, WeightAssignment.uniform(g1.families))) == len(lcs(g1, g2))
+    assert calls[1:] == ["sparse", "sparse"]
+
+
+def test_special_lcs_outputs_are_pinned():
+    """lcs and elcs_special on four 1000-family special pairs (two ELCS
+    feasible, two not) hash to the digest the dense kernel gave."""
+    h = hashlib.sha256()
+    for seed in range(4):
+        a, b = random_seq_pair(seed, 1000, max_occ=3, special=True)
+        alphabet = Alphabet.from_mandatory((1 + seed,), a.families | b.families)
+        best = elcs_special(a, b, alphabet)
+        h.update(repr((lcs(a, b).genes, best and best.genes)).encode())
+    assert h.hexdigest() == "f900ee95b937d01ba4826e9d1379a3ededa7f34ec462183cc38d4f28b8e2575e"
 
 
 def test_weighted_lcs_worked_instance():
@@ -193,6 +287,16 @@ def test_elcs_oracle_infeasible_and_cap():
     g = SeqGenome(tuple(range(1, 20)))
     with pytest.raises(CapExceededError):
         elcs_exact_oracle(g, g, Alphabet(frozenset(range(1, 20)), frozenset()))
+
+
+def test_elcs_oracle_time_budget():
+    a, b = SeqGenome.of(1, 2, 1, 3), SeqGenome.of(2, 1, 3, 3)
+    alphabet = Alphabet(frozenset({1}), frozenset({2, 3}))
+    with pytest.raises(SearchTimeoutError):
+        elcs_exact_oracle(a, b, alphabet, timeout_s=-1)
+    with pytest.raises(ValueError):
+        elcs_exact_oracle(a, b, alphabet, timeout_s=float("nan"))
+    assert elcs_exact_oracle(a, b, alphabet, timeout_s=float("inf")) == SeqGenome.of(2, 1, 3)
 
 
 def test_elcs_oracle_refutes_before_the_cap():
