@@ -29,6 +29,12 @@ DUPLICATE_FAMILY = "DuplicateFamily"
 _TOKEN = re.compile(r"\S+")
 _SIGNED_INT = re.compile(r"[+-]?[0-9]+\Z")
 _UNSIGNED_INT = re.compile(r"[0-9]+\Z")
+# The longest prefix of a data line made of ASCII integer tokens of at most
+# 10 digits (as many as MAX_FAMILY has), each followed by white space or the
+# end, so that int() takes every one of them as it is.  The match stops at
+# the first other token and never backtracks into the tokens before it.
+_SEQ_TOKENS = re.compile(r"(?:\s*[+-]?[0-9]{1,10}(?=\s|\Z))*\s*", re.ASCII)
+_SET_TOKENS = re.compile(r"(?:\s*[0-9]{1,10}(?=\s|\Z))*\s*", re.ASCII)
 
 
 def _fail(line: int, column: int, code: str, message: str):
@@ -56,6 +62,36 @@ def _gene(tok: str, pattern: re.Pattern, line: int, column: int, what: str) -> i
     return value
 
 
+def _line_genes(line: str, lineno: int, fast: re.Pattern, pattern: re.Pattern, what: str,
+                *, distinct: bool = False):
+    """The genes of one data line: a list in reading order, or with distinct
+    a frozenset in which no family may repeat.
+
+    The tokens of the prefix that fast matches are converted and checked by
+    builtins.  The token walk takes the rest of the line, or the whole line
+    when a prefix gene is out of range or repeats a family; it raises the
+    diagnostic of the first offending token."""
+    end = fast.match(line).end()
+    tokens = line[:end].split()
+    genes = frozenset(map(int, tokens)) if distinct else list(map(int, tokens))
+    if tokens and (len(genes) < len(tokens) or 0 in genes
+                   or min(genes) < -MAX_FAMILY or max(genes) > MAX_FAMILY):
+        end, genes = 0, ()
+    if end == len(line):
+        return genes
+    walked = list(genes)
+    seen = set(genes) if distinct else None
+    for match in _TOKEN.finditer(line, end):
+        col = match.start() + 1
+        value = _gene(match.group(), pattern, lineno, col, what)
+        if distinct:
+            if value in seen:
+                _fail(lineno, col, DUPLICATE_IN_CHROMOSOME, f"family {value} repeated in one chromosome")
+            seen.add(value)
+        walked.append(value)
+    return frozenset(walked) if distinct else walked
+
+
 def _text(data) -> str:
     if not isinstance(data, (bytes, bytearray)):
         return data
@@ -81,9 +117,7 @@ def parse_seq_genome(data) -> SeqGenome:
     line; token 0 is rejected; empty input is rejected."""
     genes: list[int] = []
     for lineno, line in _data_lines(_text(data)):
-        for match in _TOKEN.finditer(line):
-            tok, col = match.group(), match.start() + 1
-            genes.append(_gene(tok, _SIGNED_INT, lineno, col, "a signed integer"))
+        genes += _line_genes(line, lineno, _SEQ_TOKENS, _SIGNED_INT, "a signed integer")
     if not genes:
         _fail(1, 1, EMPTY_INPUT, "no genes in input")
     return SeqGenome(tuple(genes))
@@ -101,18 +135,11 @@ def parse_set_genome(data) -> SetGenome:
     holding only '-' is an explicitly empty chromosome."""
     chromosomes: list[frozenset[int]] = []
     for lineno, line in _data_lines(_text(data)):
-        matches = list(_TOKEN.finditer(line))
-        if len(matches) == 1 and matches[0].group() == "-":
+        if line.strip() == "-":
             chromosomes.append(frozenset())
-            continue
-        members: set[int] = set()
-        for match in matches:
-            tok, col = match.group(), match.start() + 1
-            value = _gene(tok, _UNSIGNED_INT, lineno, col, "a positive integer")
-            if value in members:
-                _fail(lineno, col, DUPLICATE_IN_CHROMOSOME, f"family {value} repeated in one chromosome")
-            members.add(value)
-        chromosomes.append(frozenset(members))
+        else:
+            chromosomes.append(_line_genes(line, lineno, _SET_TOKENS, _UNSIGNED_INT,
+                                           "a positive integer", distinct=True))
     return SetGenome(tuple(chromosomes))
 
 

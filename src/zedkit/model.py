@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Union
 
 # Family ids are positive 32-bit integers; 0 is reserved as a terminator in
@@ -135,26 +136,28 @@ class InstanceClass(Enum):
 def occurrence_profile(genome: Genome) -> Counter:
     """Occurrences of each family across the whole genome, ignoring sign."""
     if isinstance(genome, SeqGenome):
-        return Counter(abs(g) for g in genome.genes)
-    return Counter(g for c in genome.chromosomes for g in c)
+        return Counter(map(abs, genome.genes))
+    return Counter(chain.from_iterable(genome.chromosomes))
 
 
 def classify_instance(g1: Genome, g2: Genome) -> InstanceClass:
     """Classify a genome pair by its duplicate-gene distribution.
 
     A pair whose genomes do not hold the same families is FAMILY_MISMATCH:
-    no common exemplar genome exists, and every solver answers it NO.
+    no common exemplar genome exists, and every solver answers it NO.  A pair
+    in which each genome duplicates some family is PER_GENE_SPECIAL when no
+    family is duplicated in both genomes, and GENERAL otherwise.
     """
     p1, p2 = occurrence_profile(g1), occurrence_profile(g2)
     if p1.keys() != p2.keys():
         return InstanceClass.FAMILY_MISMATCH
-    ex1 = all(c == 1 for c in p1.values())
-    ex2 = all(c == 1 for c in p2.values())
-    if ex1 and ex2:
+    dup1 = {f for f, c in p1.items() if c > 1}
+    dup2 = {f for f, c in p2.items() if c > 1}
+    if not dup1 and not dup2:
         return InstanceClass.BOTH_EXEMPLAR
-    if ex1 or ex2:
+    if not dup1 or not dup2:
         return InstanceClass.ONE_SIDE_DUPLICATE_FREE
-    if all(min(p1[f], p2[f]) == 1 for f in p1):
+    if dup1.isdisjoint(dup2):
         return InstanceClass.PER_GENE_SPECIAL
     return InstanceClass.GENERAL
 

@@ -1,8 +1,9 @@
 """Cross-algorithm equivalence suites behind the selftest command.
 
 Each suite replays seeded random instances through two or more independent
-code paths and demands identical answers (plus verifying certificates); a
-disagreement names the suite and the seed that produced it.
+code paths, or through an emit-then-parse round trip, and demands identical
+answers (plus verifying certificates); a disagreement names the suite and the
+seed that produced it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .formats import emit_seq_genome, emit_set_genome, parse_seq_genome, parse_set_genome
 from .generate import SplitMix64, random_cnf, random_seq_pair, random_set_pair
-from .model import Alphabet, verify_seq_certificate
+from .model import MAX_FAMILY, Alphabet, SeqGenome, SetGenome, verify_seq_certificate
 from .sat import (
     assignment_from_seq_certificate,
     assignment_from_set_certificate,
@@ -85,6 +87,28 @@ def _lcs_sparse_vs_dense(seed: int) -> str | None:
     return None
 
 
+def _parse_round_trip(seed: int) -> str | None:
+    rng = SplitMix64(seed)
+    n = 1 + rng.randint(0, 200)
+    # on odd seeds, shift the families up to 10-digit ids
+    shift = rng.randint(0, MAX_FAMILY - n) if seed % 2 else 0
+    seqs = [SeqGenome(tuple(g + shift if g > 0 else g - shift for g in genome))
+            for genome in random_seq_pair(seed, n, max_occ=3)]
+    sets = []
+    for genome in random_set_pair(seed, n, 1 + rng.randint(0, 9), max_occ=3):
+        chromosomes = [frozenset(f + shift for f in c) for c in genome.chromosomes]
+        for _ in range(rng.randint(0, 2)):
+            chromosomes.insert(rng.randint(0, len(chromosomes)), frozenset())
+        sets.append(SetGenome(tuple(chromosomes)))
+    for g in seqs:
+        if parse_seq_genome(emit_seq_genome(g)) != g:
+            return f"seq genome of {len(g)} genes does not round-trip"
+    for g in sets:
+        if parse_set_genome(emit_set_genome(g)).chromosomes != g.chromosomes:
+            return f"set genome of {len(g)} chromosomes does not round-trip"
+    return None
+
+
 def _sat_vs_seq_zed(seed: int) -> str | None:
     rng = SplitMix64(seed)
     phi = random_cnf(rng.next64(), rng.randint(1, 3), rng.randint(0, 2))
@@ -141,6 +165,7 @@ SUITES: tuple[tuple[str, Callable[[int], str | None]], ...] = (
     ("seq-special-vs-exact", _seq_special_vs_exact),
     ("elcs-special-vs-oracle", _elcs_special_vs_oracle),
     ("lcs-sparse-vs-dense", _lcs_sparse_vs_dense),
+    ("parse-round-trip", _parse_round_trip),
     ("sat-vs-seq-zed", _sat_vs_seq_zed),
     ("sat-vs-set-zed", _sat_vs_set_zed),
     ("set-three-way", _set_three_way),
@@ -164,7 +189,8 @@ def run_selftest(
 ) -> SelftestReport:
     """Round-robin the suites on seeds BASE_SEED, BASE_SEED+1, ... until each
     has run max_cases or the budget runs out; short reports that some
-    suite ran fewer than min_cases."""
+    suite ran fewer than min_cases.  A suite that raises on a seed is
+    recorded as a failure of that seed, and the run goes on."""
     report = SelftestReport(cases={name: 0 for name, _ in SUITES})
     deadline = time.monotonic() + budget_s
     case = 0
@@ -175,7 +201,10 @@ def run_selftest(
             if report.cases[name] >= max_cases:
                 continue
             seed = BASE_SEED + case
-            problem = fn(seed)
+            try:
+                problem = fn(seed)
+            except Exception as exc:
+                problem = f"raised {type(exc).__name__}: {exc}"
             report.cases[name] += 1
             if problem is not None:
                 report.failures.append(f"{name} (seed {seed}): {problem}")

@@ -172,3 +172,64 @@ def set_certificate_fault(g1, g2, cert) -> str | None:
     if not embeds_injectively(cert, g2):
         return "g2"
     return None
+
+
+_ASCII_DIGITS = frozenset("0123456789")
+# int() refuses decimal strings of more digits than this (CPython's default)
+_INT_MAX_STR_DIGITS = 4300
+
+
+def _tokens(line: str) -> list:
+    """(1-based column, token) for each run of non-whitespace characters."""
+    out, start = [], None
+    for i, ch in enumerate(line + " "):
+        if ch.isspace():
+            if start is not None:
+                out.append((start + 1, line[start:i]))
+                start = None
+        elif start is None:
+            start = i
+    return out
+
+
+def parse_genome_reference(data, ordered: bool):
+    """Reference reader for .seq (ordered) and .set genomes that walks one
+    token at a time with no regular expression.  Returns the genes as a tuple
+    (.seq) or the chromosomes as a tuple of frozensets (.set), or the first
+    error in reading order as (line, column, code)."""
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            text = bytes(data).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lines = (bytes(data[: exc.start]).decode("utf-8") + "?").splitlines()
+            return (len(lines), len(lines[-1]), "MalformedToken")
+    else:
+        text = data
+    genes, chromosomes = [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = _tokens(line)
+        if not tokens or tokens[0][1].startswith("#"):
+            continue
+        if not ordered and [tok for _, tok in tokens] == ["-"]:
+            chromosomes.append(frozenset())
+            continue
+        members = []
+        for column, tok in tokens:
+            digits = tok[1:] if ordered and tok[0] in "+-" else tok
+            if not digits or not set(digits) <= _ASCII_DIGITS or len(digits) > _INT_MAX_STR_DIGITS:
+                return (lineno, column, "MalformedToken")
+            value = int(tok)
+            if value == 0:
+                return (lineno, column, "ZeroGene")
+            if abs(value) > 2**31 - 1:
+                return (lineno, column, "MalformedToken")
+            if not ordered and value in members:
+                return (lineno, column, "DuplicateInChromosome")
+            members.append(value)
+        if ordered:
+            genes.extend(members)
+        else:
+            chromosomes.append(frozenset(members))
+    if not ordered:
+        return tuple(chromosomes)
+    return tuple(genes) if genes else (1, 1, "EmptyInput")

@@ -396,3 +396,24 @@ def test_criterion_13_special_lcs_sparse():
     assert peak_mb < 32.0
     assert sw.elapsed < 1.0
     report(13, f"special LCS on 6000 families in {sw.elapsed:.2f}s, peak {peak_mb:.1f} MB")
+
+
+def test_criterion_14_parse_large_genomes():
+    # 133 251 genes on one 0.8 MB line; the appended bad token is the first
+    # one the line check refuses, so a check that backtracked over the tokens
+    # before it would show here
+    g1, _ = random_seq_pair(3, 100000, max_occ=3, special=True)
+    text = emit_seq_genome(g1)
+    with stopwatch() as sw_parse:
+        assert parse_seq_genome(text) == g1
+    assert sw_parse.elapsed < 0.5
+
+    bad = text.rstrip("\n") + " x"
+    with stopwatch() as sw_bad:
+        with pytest.raises(ParseError) as err:
+            parse_seq_genome(bad)
+    d = err.value.diagnostic
+    assert (d.line, d.column, d.code) == (1, len(bad), MALFORMED_TOKEN)
+    assert sw_bad.elapsed < 0.5
+    report(14, f"parse {len(text) / 1e6:.2f} MB genome in {sw_parse.elapsed:.2f}s, "
+               f"refuse its bad last token in {sw_bad.elapsed:.2f}s")

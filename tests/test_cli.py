@@ -8,6 +8,7 @@ import pytest
 
 import zedkit
 from worked_examples import COMPLETE_UNSAT_N3, SEQ_G1, SEQ_G2, SET_CERT, SET_G1, SET_G2
+from zedkit import selftest
 from zedkit.cli import main
 from zedkit.formats import (
     emit_dimacs3,
@@ -365,7 +366,21 @@ def test_selftest_small_run(capsys):
     out = capsys.readouterr().out
     assert "seq-special-vs-exact: 6 cases" in out
     assert "lcs-sparse-vs-dense: 6 cases" in out
+    assert "parse-round-trip: 6 cases" in out
     assert "all suites agree" in out
+
+
+def test_selftest_names_the_suite_and_seed_that_raised(monkeypatch, capsys):
+    def boom(seed):
+        raise IndexError("list index out of range")
+
+    monkeypatch.setattr(selftest, "SUITES", (("boom", boom), *selftest.SUITES[:2]))
+    assert main(["selftest", "--budget", "60", "--cases", "3", "--min-cases", "3"]) == 1
+    captured = capsys.readouterr()
+    seed = selftest.BASE_SEED
+    assert f"FAIL boom (seed {seed}): raised IndexError: list index out of range" in captured.err
+    assert f"boom (seed {seed + 2})" in captured.err
+    assert f"{selftest.SUITES[1][0]}: 3 cases" in captured.out
 
 
 def test_run_selftest_flags_a_short_run_with_budget_to_spare():

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from worked_examples import SEQ_G1, SET_G1, TWO_CLAUSE_FORMULA
 from zedkit import CnfFormula, ParseError, SeqGenome, SetGenome
 from zedkit.formats import (
@@ -222,3 +223,37 @@ def test_parsers_accept_or_raise_a_located_diagnostic(parse, data):
         parse(data)
     except ParseError as err:
         assert err.diagnostic.line >= 1 and err.diagnostic.column >= 1
+
+
+# Fragments that probe the line check of the genome parsers: tokens it must
+# leave to the token walk, separators that are white space to str.split() but
+# not to an ASCII pattern, and characters that str.splitlines() breaks on.
+line_probes = st.sampled_from(
+    ["1-2", "1+2", "1_0", "٣", "１", "00000000001", "2147483648", "-2147483647",
+     "2147483647", "\x0b", "\x1c", "\u00a0", "\u2028", "1 # 2", "\n  # note\n", "\n-\n",
+     " - ", "7", "8 9", "3 3", "\n"]
+)
+genome_lines = st.lists(
+    st.lists(st.sampled_from(["1", "2", "3", "45", "7", "8", "9", "10", "2147483647", "0000000006"]),
+             min_size=1, max_size=5).map(" ".join),
+    max_size=4,
+).map("\n".join)
+genome_inputs = st.one_of(
+    parser_inputs,
+    st.lists(st.one_of(fragments, line_probes), max_size=30).map("".join),
+    st.tuples(genome_lines, line_probes, genome_lines).map("".join),
+)
+
+
+@pytest.mark.parametrize("parse, ordered", [(parse_seq_genome, True), (parse_set_genome, False)])
+@given(data=genome_inputs)
+@settings(max_examples=300)
+def test_genome_parsers_match_the_reference_parser(parse, ordered, data):
+    expected = oracles.parse_genome_reference(data, ordered)
+    try:
+        genome = parse(data)
+    except ParseError as err:
+        d = err.diagnostic
+        assert (d.line, d.column, d.code) == expected
+    else:
+        assert (genome.genes if ordered else genome.chromosomes) == expected
