@@ -32,12 +32,26 @@ from .formats import (
     parse_set_genome,
 )
 from .generate import random_cnf, random_seq_pair, random_set_pair
-from .model import Alphabet, verify_seq_certificate
-from .sat import CnfFormula, brute_force_sat, reduce_3sat_to_seq_zed, reduce_3sat_to_set_zed
+from .model import Alphabet, SeqGenome, SetGenome, verify_seq_certificate
+from .sat import (
+    DEFAULT_MAX_VARS,
+    CnfFormula,
+    brute_force_sat,
+    reduce_3sat_to_seq_zed,
+    reduce_3sat_to_set_zed,
+)
 from .search import DEFAULT_TIMEOUT_S
 from .selftest import run_selftest
 from .seq import MODES as SEQ_MODES
-from .seq import elcs_exact_oracle, elcs_special, lcs, solve_seq, zed_seq_exact, zed_seq_special
+from .seq import (
+    DEFAULT_MAX_MANDATORY,
+    elcs_exact_oracle,
+    elcs_special,
+    lcs,
+    solve_seq,
+    zed_seq_exact,
+    zed_seq_special,
+)
 from .sets import MODES as SET_MODES
 from .sets import solve_set, verify_set_certificate, zed_set_exact, zed_set_fpt, zed_set_matching
 
@@ -257,16 +271,21 @@ def _bench_scenarios():
     # show here
     text = emit_seq_genome(random_seq_pair(3, 100000, max_occ=3, special=True)[0])
     yield "parse 0.8 MB genome", 0.5, lambda: parse_seq_genome(text)
-    bad = text.rstrip("\n") + " x"
 
-    def refuse_bad():
-        try:
-            parse_seq_genome(bad)
-        except ParseError:
-            return
-        raise AssertionError("a genome ending in 'x' was accepted")
+    def refuse(tail):
+        bad = text.rstrip("\n") + tail
 
-    yield "parse 0.8 MB genome, bad last token", 0.5, refuse_bad
+        def run():
+            try:
+                parse_seq_genome(bad)
+            except ParseError:
+                return
+            raise AssertionError(f"a genome ending in {tail!r} was accepted")
+        return run
+
+    yield "parse 0.8 MB genome, bad last token", 0.5, refuse(" x")
+    # a token the line check converts, then refuses as a gene
+    yield "parse 0.8 MB genome, bad last gene", 0.5, refuse(" 0")
 
     s1, s2 = random_set_pair(2024, 2000, 200, special=True)
     yield "matching k=200 |S|=2000", 5.0, lambda: zed_set_matching(s1, s2)
@@ -275,8 +294,6 @@ def _bench_scenarios():
 
     # genes 1 and 2 share a left chromosome but no right one, so every one of
     # the 8! pairings is scanned before answering NO
-    from .model import SetGenome
-
     f1 = SetGenome.of({1, 2}, {3}, {4}, {5}, {6}, {7}, {8})
     f2 = SetGenome.of({1}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
     yield "permutation scan k=8", 10.0, lambda: zed_set_fpt(f1, f2)
@@ -286,6 +303,10 @@ def _bench_scenarios():
     phi = CnfFormula.of(3, *itertools.product((1, -1), (2, -2), (3, -3)))
     u1, u2, _ = reduce_3sat_to_seq_zed(phi)
     yield "seq reduction complete UNSAT n=3", 5.0, lambda: zed_seq_exact(u1, u2)
+
+    # no binding crosses a pair of another family, so none filters a family
+    same = SeqGenome(tuple(range(1, 3000)))
+    yield "seq exact identity 2999 families", 1.0, lambda: zed_seq_exact(same, same)
 
     # a random unsatisfiable formula whose set reduction the exact search refutes
     w1, w2, _ = reduce_3sat_to_set_zed(random_cnf(1, 12, 60, distinct_vars=True))
@@ -345,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--mandatory", default="", help="comma- or space-separated mandatory families")
     p.add_argument("--mode", choices=["special", "oracle"], default="special")
-    p.add_argument("--max-mandatory", type=_positive_int, default=15, help="cap for oracle mode")
+    p.add_argument("--max-mandatory", type=_positive_int, default=DEFAULT_MAX_MANDATORY,
+                   help="cap for oracle mode")
     p.add_argument("--timeout", type=_finite_seconds, default=DEFAULT_TIMEOUT_S,
                    help="wall budget for oracle mode (s)")
     p.add_argument("--out", help="write the subsequence here when feasible")
@@ -367,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat", help="brute-force satisfiability of a 3-CNF formula")
     p.add_argument("cnf")
-    p.add_argument("--max-vars", type=_positive_int, default=24)
+    p.add_argument("--max-vars", type=_positive_int, default=DEFAULT_MAX_VARS)
     p.set_defaults(func=_cmd_sat)
 
     p = sub.add_parser("gen", help="generate seeded random instances")

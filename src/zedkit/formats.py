@@ -68,15 +68,17 @@ def _line_genes(line: str, lineno: int, fast: re.Pattern, pattern: re.Pattern, w
     a frozenset in which no family may repeat.
 
     The tokens of the prefix that fast matches are converted and checked by
-    builtins.  The token walk takes the rest of the line, or the whole line
-    when a prefix gene is out of range or repeats a family; it raises the
-    diagnostic of the first offending token."""
+    builtins.  The token walk takes the rest of the line, or the line from
+    the first prefix gene that is out of range or repeats a family; it
+    raises the diagnostic of the first offending token."""
     end = fast.match(line).end()
     tokens = line[:end].split()
     genes = frozenset(map(int, tokens)) if distinct else list(map(int, tokens))
     if tokens and (len(genes) < len(tokens) or 0 in genes
                    or min(genes) < -MAX_FAMILY or max(genes) > MAX_FAMILY):
-        end, genes = 0, ()
+        genes = _good_prefix(map(int, tokens), distinct)
+        # maxsplit leaves the line from token len(genes) on, its lead stripped
+        end = len(line) - len(line.split(None, len(genes))[-1])
     if end == len(line):
         return genes
     walked = list(genes)
@@ -90,6 +92,19 @@ def _line_genes(line: str, lineno: int, fast: re.Pattern, pattern: re.Pattern, w
             seen.add(value)
         walked.append(value)
     return frozenset(walked) if distinct else walked
+
+
+def _good_prefix(genes, distinct: bool) -> list[int]:
+    """The genes before the first one that is out of range or, with
+    distinct, repeats a family."""
+    good: list[int] = []
+    seen: set[int] = set()
+    for g in genes:
+        if not 0 < abs(g) <= MAX_FAMILY or distinct and g in seen:
+            break
+        good.append(g)
+        seen.add(g)
+    return good
 
 
 def _text(data) -> str:

@@ -65,7 +65,10 @@ def eval_assignment(phi: CnfFormula, sigma: Assignment) -> bool:
     return all(any(sigma[l.variable] == l.positive for l in cl) for cl in phi.clauses)
 
 
-def brute_force_sat(phi: CnfFormula, *, max_vars: int = 24) -> Assignment | None:
+DEFAULT_MAX_VARS = 24  # brute_force_sat's cap: 2^24 assignments
+
+
+def brute_force_sat(phi: CnfFormula, *, max_vars: int = DEFAULT_MAX_VARS) -> Assignment | None:
     """First satisfying assignment in a fixed enumeration order, or None.
 
     Assignments are scanned as counters 0 .. 2^n - 1 with bit i-1 giving the

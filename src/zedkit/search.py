@@ -35,7 +35,7 @@ def backjump_search(
     degree: Sequence[int],
     keep: Callable[[C, D], D],
     timeout_s: float,
-    touches: Callable[[C], Sequence[int]] | None = None,
+    touches: Callable[[C], Sequence[int]],
 ) -> list[C] | None:
     """One candidate per item, pairwise compatible, or None when none exists.
 
@@ -45,12 +45,11 @@ def backjump_search(
     candidates of live compatible with chosen, a candidate of another item;
     compatibility must be symmetric.
 
-    touches(c), when given, lists in ascending order a superset of the items
-    whose live candidates c can rule out (it may name bound items, which are
-    skipped); a binding to c then filters only those items.  None means every
-    pending item.  Items outside touches(c) never shrink, so the same domains
-    shrink and wipe out in the same order either way: the search, and the
-    candidates it returns, are the same, with fewer keep calls.
+    touches(c) lists in ascending order a superset of the items whose live
+    candidates c can rule out (bound items in it are skipped); binding c
+    filters only those.  Items outside it never shrink, so every such superset
+    gives the same search step for step, with fewer keep calls the smaller it
+    is.
 
     Forward checking with conflict-directed backjumping (Prosser 1993,
     "Hybrid algorithms for the constraint satisfaction problem"): the next
@@ -107,8 +106,7 @@ def backjump_search(
         pending = None
         for c in cands:
             chosen[pick] = c
-            # both orders are ascending, so the same domain wipes out first
-            for y in rest if touches is None else touches(c):
+            for y in touches(c):
                 if bound[y]:
                     continue
                 after = keep(c, live[y])

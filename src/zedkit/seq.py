@@ -53,8 +53,9 @@ class WeightAssignment:
                 raise ValueError(f"negative weight {w} for family {f}")
 
     @classmethod
-    def uniform(cls, families, weight: int = 1) -> "WeightAssignment":
-        return cls({f: weight for f in families})
+    def uniform(cls, families) -> "WeightAssignment":
+        """Weight 1 on every family: weighted_lcs is then lcs."""
+        return cls({f: 1 for f in families})
 
     @classmethod
     def elcs(cls, alphabet: Alphabet, a: SeqGenome, b: SeqGenome) -> "WeightAssignment":
@@ -326,6 +327,58 @@ def _non_crossing(c: tuple[int, int], live: _LivePairs) -> _LivePairs:
     return _LivePairs(cells)
 
 
+# Measured per binding on seq reductions (see CHANGES.md): a list
+# comprehension over the boxes costs about 60 ns a family, numpy about 6 us
+# plus a few ns a family; both take the same time at about 100 to 160
+# families.
+_NUMPY_FAMILIES = 128
+
+
+def _crossing_families(boxes: list[tuple[int, int, int, int, int]]):
+    """touches for the ordered search, over boxes (x, lo1, hi1, lo2, hi2)
+    with x ascending: the x of each box that holds a position pair crossing
+    (p, q), that is a (p', q') with p' < p and q' > q or p' > p and q' < q."""
+    if len(boxes) < _NUMPY_FAMILIES:
+        def touches(c: tuple[int, int]) -> list[int]:
+            p, q = c
+            return [x for x, lo1, hi1, lo2, hi2 in boxes
+                    if lo1 < p and hi2 > q or hi1 > p and lo2 < q]
+        return touches
+    _, lo1, hi1, lo2, hi2 = map(np.array, zip(*boxes))
+
+    def touches(c: tuple[int, int]) -> list[int]:
+        p, q = c
+        return np.flatnonzero((lo1 < p) & (hi2 > q) | (hi1 > p) & (lo2 < q)).tolist()
+    return touches
+
+
+def _search_inputs(g1: SeqGenome, g2: SeqGenome):
+    """The families in increasing order and, for backjump_search over them
+    (item x is fams[x]), their domains, degrees and touches; None when some
+    family has no signed form in both genomes."""
+    fams = sorted(g1.families | g2.families)
+    at1, at2 = {}, {}  # signed gene -> its positions in g1, g2
+    for at, g in (at1, g1), (at2, g2):
+        for p, v in enumerate(g.genes):
+            at.setdefault(v, []).append(p)
+    domains, boxes = [], []
+    for x, f in enumerate(fams):
+        forms = [(at1[v], at2[v]) for v in (f, -f) if v in at1 and v in at2]
+        if not forms:
+            return None
+        domains.append(_LivePairs([(a, 0, len(a), b, 0, len(b)) for a, b in forms]))
+        # the live pairs of f stay inside the box around its cells, so a
+        # binding that crosses no pair of the box never shrinks f
+        (a, b), *other = forms
+        lo1, hi1, lo2, hi2 = a[0], a[-1], b[0], b[-1]
+        for a, b in other:  # the other signed form
+            lo1, hi1, lo2, hi2 = min(lo1, a[0]), max(hi1, a[-1]), min(lo2, b[0]), max(hi2, b[-1])
+        boxes.append((x, lo1, hi1, lo2, hi2))
+    # every two families constrain each other, so all degrees tie
+    degree = [len(fams) - 1] * len(fams)
+    return fams, domains, degree, _crossing_families(boxes)
+
+
 def zed_seq_exact(
     g1: SeqGenome, g2: SeqGenome, *, timeout_s: float = DEFAULT_TIMEOUT_S,
     max_families: int | None = None,
@@ -336,27 +389,18 @@ def zed_seq_exact(
     signs included, and the chosen pairs must not cross (p < p' iff q < q');
     the genes at the chosen positions, read in order, are then a common
     exemplar subsequence.  Pairs are tried earliest first (by p + q) in the
-    forward-checking backjump search shared with the unordered solver, which
-    raises SearchTimeoutError once timeout_s seconds have passed.  A family
+    forward-checking backjump search shared with the unordered solver;
+    binding a pair filters only the families with a pair that crosses it.
+    Raises SearchTimeoutError once timeout_s seconds have passed.  A family
     with no signed form in both genomes answers NO at once.  max_families,
     when given, caps the family count (CapExceededError)."""
-    fams = sorted(g1.families | g2.families)
-    at1, at2 = {}, {}  # signed gene -> its positions in g1, g2
-    for at, g in (at1, g1), (at2, g2):
-        for p, v in enumerate(g.genes):
-            at.setdefault(v, []).append(p)
-    domains = []
-    for f in fams:
-        cells = [(at1[v], 0, len(at1[v]), at2[v], 0, len(at2[v]))
-                 for v in (f, -f) if v in at1 and v in at2]
-        if not cells:
-            return SeqDecision(False)  # no signed form of f is in both genomes
-        domains.append(_LivePairs(cells))
+    inputs = _search_inputs(g1, g2)
+    if inputs is None:
+        return SeqDecision(False)  # no signed form of some family is in both genomes
+    fams, domains, degree, touches = inputs
     if max_families is not None and len(fams) > max_families:
         raise CapExceededError(f"{len(fams)} families exceeds the cap of {max_families}")
-    # every two families constrain each other, so all degrees tie
-    degree = [len(fams) - 1] * len(fams)
-    chosen = backjump_search(domains, degree, _non_crossing, timeout_s)
+    chosen = backjump_search(domains, degree, _non_crossing, timeout_s, touches)
     if chosen is None:
         return SeqDecision(False)
     return SeqDecision(True, SeqGenome(tuple(g1.genes[p] for p, _ in sorted(chosen))))
@@ -398,8 +442,11 @@ def solve_seq(
     return route, zed_seq_special(g1, g2)
 
 
+DEFAULT_MAX_MANDATORY = 15  # elcs_exact_oracle's cap: its table holds up to 2^15 masks a cell
+
+
 def elcs_exact_oracle(
-    a: SeqGenome, b: SeqGenome, alphabet: Alphabet, *, max_mandatory: int = 15,
+    a: SeqGenome, b: SeqGenome, alphabet: Alphabet, *, max_mandatory: int = DEFAULT_MAX_MANDATORY,
     timeout_s: float = DEFAULT_TIMEOUT_S,
 ) -> SeqGenome | None:
     """Reference solver for the mandatory-symbol LCS, exact for arbitrary

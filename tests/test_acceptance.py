@@ -314,10 +314,16 @@ def test_criterion_10_complexity_smoke():
     with stopwatch() as sw_empty:
         assert verify_set_certificate(padded, padded, padded).ok
     assert sw_empty.elapsed < 0.5
+    # a binding crosses no pair of another family, so it filters none
+    same = SeqGenome(tuple(range(1, 3000)))
+    with stopwatch() as sw_identity:
+        assert zed_seq_exact(same, same).answer
+    assert sw_identity.elapsed < 1.0
     report(10, f"lcs 5000x5000 {sw_lcs.elapsed:.2f}s, matching k=200 {sw_match.elapsed:.2f}s, "
                f"matching k=2000 {sw_big.elapsed:.2f}s, permutation scan k=8 {sw_fpt.elapsed:.2f}s, "
                f"verify k=1500 path {sw_path.elapsed:.3f}s, verify 1000+1000 empty "
-               f"{sw_empty.elapsed:.3f}s")
+               f"{sw_empty.elapsed:.3f}s, seq exact identity 2999 families "
+               f"{sw_identity.elapsed:.2f}s")
 
 
 def test_criterion_11_io_round_trips_and_diagnostics():
@@ -415,5 +421,19 @@ def test_criterion_14_parse_large_genomes():
     d = err.value.diagnostic
     assert (d.line, d.column, d.code) == (1, len(bad), MALFORMED_TOKEN)
     assert sw_bad.elapsed < 0.5
+
+    # a well-formed last token whose gene is refused: the walk that finds it
+    # must not start over from the first column
+    gene_s = []
+    for tail, code in (" 0", ZERO_GENE), (" 2147483648", MALFORMED_TOKEN):
+        bad = text.rstrip("\n") + tail
+        with stopwatch() as sw_gene:
+            with pytest.raises(ParseError) as err:
+                parse_seq_genome(bad)
+        d = err.value.diagnostic
+        assert (d.line, d.column, d.code) == (1, len(bad) - len(tail) + 2, code)
+        assert sw_gene.elapsed < 0.5
+        gene_s.append(sw_gene.elapsed)
     report(14, f"parse {len(text) / 1e6:.2f} MB genome in {sw_parse.elapsed:.2f}s, "
-               f"refuse its bad last token in {sw_bad.elapsed:.2f}s")
+               f"refuse its bad last token in {sw_bad.elapsed:.2f}s, "
+               f"its bad last gene in {max(gene_s):.2f}s")

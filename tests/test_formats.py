@@ -238,10 +238,17 @@ genome_lines = st.lists(
              min_size=1, max_size=5).map(" ".join),
     max_size=4,
 ).map("\n".join)
+# Well-formed tokens whose gene the line check refuses after the tokens
+# before it: 0, a family past the 32-bit bound, or a family repeated in a
+# .set line; the walk must start at the first of them.
+bad_genes = st.sampled_from(
+    [" 0", " -0", " 00", " 2147483648", " -2147483648", " 1", " 7 7", " 8 0", " 9 0 x"]
+)
 genome_inputs = st.one_of(
     parser_inputs,
     st.lists(st.one_of(fragments, line_probes), max_size=30).map("".join),
     st.tuples(genome_lines, line_probes, genome_lines).map("".join),
+    st.tuples(genome_lines, bad_genes, genome_lines).map("".join),
 )
 
 

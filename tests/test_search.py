@@ -1,6 +1,8 @@
-"""The shared backjump search: filtering only the items a binding touches
-leaves the search unchanged.  No search recurses: none changes the recursion
-limit, concurrent searches are safe, and none leaves a reference cycle."""
+"""The shared backjump search: in both genome models, filtering only the
+items a binding touches (for the ordered model, the families with a pair that
+crosses it) leaves the search step for step the same as filtering every item.
+No search recurses: none changes the recursion limit, concurrent searches are
+safe, and none leaves a reference cycle."""
 
 import gc
 import os
@@ -22,9 +24,11 @@ from zedkit import (
     zed_seq_exact,
     zed_set_exact,
 )
-from zedkit.generate import random_cnf, random_seq_pair
+from zedkit import seq, sets
+from zedkit.generate import SplitMix64, random_cnf, random_seq_pair
 from zedkit.search import backjump_search
-from zedkit.sets import _disjoint_pairs, _search_inputs, build_intersection_graph
+from zedkit.seq import _non_crossing
+from zedkit.sets import _disjoint_pairs, build_intersection_graph
 
 
 def colouring(edges, n_items, n_colours):
@@ -66,8 +70,9 @@ class Recorder:
 
 
 def both_runs(domains, degree, keep, touches):
+    """The search filtering every item, then filtering only touches(c)."""
     runs = []
-    for t in (None, touches):
+    for t in (lambda c: range(len(domains)), touches):
         rec = Recorder(keep)
         runs.append((backjump_search(domains, degree, rec, 60.0, t), rec))
     return runs
@@ -96,7 +101,7 @@ def test_touches_keeps_the_toy_search_trace(edges, n_items, n_colours, answer):
 @pytest.mark.parametrize("seed", range(5))
 def test_touches_keeps_the_set_reduction_trace(seed):
     g1, g2, _ = reduce_3sat_to_set_zed(random_cnf(seed, 8, 40, distinct_vars=True))
-    genes, domains, degree, touches = _search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    genes, domains, degree, touches = sets._search_inputs(g1, g2, build_intersection_graph(g1, g2))
     (full, everything), (near, touched) = both_runs(domains, degree, _disjoint_pairs, touches)
     assert near == full
     assert touched.shrinks == everything.shrinks
@@ -105,12 +110,52 @@ def test_touches_keeps_the_set_reduction_trace(seed):
 
 def test_set_touches_name_every_gene_a_pair_can_rule_out():
     g1, g2, _ = reduce_3sat_to_set_zed(random_cnf(0, 4, 6, distinct_vars=True))
-    genes, domains, degree, touches = _search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    genes, domains, degree, touches = sets._search_inputs(g1, g2, build_intersection_graph(g1, g2))
     for pair in {c for d in domains for c in d}:
         near = touches(pair)
         assert near == sorted(set(near))
         shrunk = [y for y, d in enumerate(domains) if len(_disjoint_pairs(pair, d)) < len(d)]
         assert set(shrunk) <= set(near)
+
+
+def seq_trace_pairs(seed):
+    """The seq reduction of a random formula, then small general signed pairs
+    with up to four copies of a family in each genome."""
+    yield reduce_3sat_to_seq_zed(random_cnf(seed, 8, 40, distinct_vars=True))[:2]
+    rng = SplitMix64(seed)
+    for _ in range(40):
+        yield random_seq_pair(rng.next64(), 2 + rng.randint(0, 6), max_occ=2 + rng.randint(0, 2))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_touches_keeps_the_seq_reduction_trace(seed):
+    total = {"every": 0, "touched": 0}
+    for g1, g2 in seq_trace_pairs(seed):
+        inputs = seq._search_inputs(g1, g2)
+        if inputs is None:
+            continue  # some family has no signed form in both genomes: no search
+        fams, domains, degree, touches = inputs
+        (full, everything), (near, touched) = both_runs(domains, degree, _non_crossing, touches)
+        assert near == full
+        assert touched.shrinks == everything.shrinks
+        assert touched.calls <= everything.calls
+        total["every"] += everything.calls
+        total["touched"] += touched.calls
+    assert total["touched"] < total["every"]
+
+
+@pytest.mark.parametrize("n_vars, n_clauses", [(4, 6), (8, 40)])  # both ways to list families
+def test_seq_touches_name_every_family_a_pair_can_rule_out(n_vars, n_clauses):
+    g1, g2, _ = reduce_3sat_to_seq_zed(random_cnf(0, n_vars, n_clauses, distinct_vars=True))
+    fams, domains, degree, touches = seq._search_inputs(g1, g2)
+    for x, own in enumerate(domains):
+        for pair in own:
+            near = touches(pair)
+            assert near == sorted(set(near))
+            # the pair's own family x is bound whenever the pair is chosen
+            shrunk = [y for y, d in enumerate(domains)
+                      if y != x and len(_non_crossing(pair, d)) < len(d)]
+            assert set(shrunk) <= set(near)
 
 
 def path_colouring(n_items, *, closed):
@@ -173,8 +218,12 @@ def test_elcs_oracle_restores_the_recursion_limit(swap, feasible):
     assert sys.getrecursionlimit() == before
 
 
+def colour(domains, degree, keep, touches):
+    return backjump_search(domains, degree, keep, 60.0, touches)
+
+
 SEARCHES = {
-    "backjump_search": lambda: backjump_search(*path_colouring(deep(), closed=False)[:3], 60.0),
+    "backjump_search": lambda: colour(*path_colouring(deep(), closed=False)),
     "zed_seq_exact": lambda: zed_seq_exact(*[SeqGenome(tuple(range(1, 3000)))] * 2).answer,
     "zed_set_exact": lambda: zed_set_exact(
         *reduce_3sat_to_set_zed(random_cnf(0, 10, 60, distinct_vars=True))[:2]

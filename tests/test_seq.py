@@ -1,5 +1,6 @@
 import hashlib
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -405,6 +406,20 @@ def test_zed_seq_exact_repetitive_families():
         assert dec.answer
         assert verify_seq_certificate(g1, g2, dec.certificate).ok
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_zed_seq_exact_state_is_bounded_on_repetitive_families():
+    """Families 1..3 with 200 copies each, in reversed block order: every
+    family has 40 000 occurrence pairs, and no state may grow with them."""
+    g1 = SeqGenome(tuple(f for f in (1, 2, 3) for _ in range(200)))
+    g2 = SeqGenome(tuple(f for f in (3, 2, 1) for _ in range(200)))
+    tracemalloc.start()
+    try:
+        assert not zed_seq_exact(g1, g2).answer
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("seed", range(80))
