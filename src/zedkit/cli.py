@@ -307,6 +307,11 @@ def _bench_scenarios():
     # no binding crosses a pair of another family, so none filters a family
     same = SeqGenome(tuple(range(1, 3000)))
     yield "seq exact identity 2999 families", 1.0, lambda: zed_seq_exact(same, same)
+    # families 1..3 in reversed block order: every binding touches every
+    # family, and each of the first family's 90 000 pairs is refuted
+    r1 = SeqGenome(tuple(f for f in (1, 2, 3) for _ in range(300)))
+    r2 = SeqGenome(tuple(f for f in (3, 2, 1) for _ in range(300)))
+    yield "seq exact reversed blocks 3 x 300 copies", 1.0, lambda: zed_seq_exact(r1, r2)
 
     # a random unsatisfiable formula whose set reduction the exact search refutes
     w1, w2, _ = reduce_3sat_to_set_zed(random_cnf(1, 12, 60, distinct_vars=True))

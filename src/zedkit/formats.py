@@ -73,12 +73,10 @@ def _line_genes(line: str, lineno: int, fast: re.Pattern, pattern: re.Pattern, w
     raises the diagnostic of the first offending token."""
     end = fast.match(line).end()
     tokens = line[:end].split()
-    genes = frozenset(map(int, tokens)) if distinct else list(map(int, tokens))
-    if tokens and (len(genes) < len(tokens) or 0 in genes
-                   or min(genes) < -MAX_FAMILY or max(genes) > MAX_FAMILY):
-        genes = _good_prefix(map(int, tokens), distinct)
-        # maxsplit leaves the line from token len(genes) on, its lead stripped
-        end = len(line) - len(line.split(None, len(genes))[-1])
+    genes, k = _checked_genes(tokens, distinct)
+    if k < len(tokens):
+        # maxsplit leaves the line from token k on, its lead stripped
+        end = len(line) - len(line.split(None, k)[-1])
     if end == len(line):
         return genes
     walked = list(genes)
@@ -94,17 +92,22 @@ def _line_genes(line: str, lineno: int, fast: re.Pattern, pattern: re.Pattern, w
     return frozenset(walked) if distinct else walked
 
 
-def _good_prefix(genes, distinct: bool) -> list[int]:
-    """The genes before the first one that is out of range or, with
-    distinct, repeats a family."""
-    good: list[int] = []
+def _checked_genes(tokens: list[str], distinct: bool):
+    """(genes, k): the first k tokens as genes (with distinct a frozenset,
+    else a list), k being the index of the first token that is 0, beyond
+    MAX_FAMILY or, with distinct, repeats a family (len(tokens) if none is).
+    A line of good genes is checked by builtins alone."""
+    values = list(map(int, tokens))
+    genes = frozenset(values) if distinct else values
+    if not values or (len(genes) == len(values) and 0 not in genes
+                      and min(genes) >= -MAX_FAMILY and max(genes) <= MAX_FAMILY):
+        return genes, len(values)
     seen: set[int] = set()
-    for g in genes:
+    for k, g in enumerate(values):
         if not 0 < abs(g) <= MAX_FAMILY or distinct and g in seen:
             break
-        good.append(g)
         seen.add(g)
-    return good
+    return values[:k], k
 
 
 def _text(data) -> str:

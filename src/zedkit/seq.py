@@ -327,28 +327,32 @@ def _non_crossing(c: tuple[int, int], live: _LivePairs) -> _LivePairs:
     return _LivePairs(cells)
 
 
-# Measured per binding on seq reductions (see CHANGES.md): a list
-# comprehension over the boxes costs about 60 ns a family, numpy about 6 us
-# plus a few ns a family; both take the same time at about 100 to 160
-# families.
-_NUMPY_FAMILIES = 128
+# Boxes are tested in runs of this many consecutive families behind the
+# run's joint box, so a binding skips the runs that hold no pair crossing it.
+# On a shared 2-core VM the 2999-family identity pair (acceptance criterion
+# 10, under 1 s) took 0.1-0.17 s this way and 0.5-0.8 s with every box
+# tested; a search over at most 32 families (every ordered search in the
+# benchmark has 8 to 28) is one run and pays one extra test per binding.
+_RUN = 32
 
 
 def _crossing_families(boxes: list[tuple[int, int, int, int, int]]):
     """touches for the ordered search, over boxes (x, lo1, hi1, lo2, hi2)
     with x ascending: the x of each box that holds a position pair crossing
-    (p, q), that is a (p', q') with p' < p and q' > q or p' > p and q' < q."""
-    if len(boxes) < _NUMPY_FAMILIES:
-        def touches(c: tuple[int, int]) -> list[int]:
-            p, q = c
-            return [x for x, lo1, hi1, lo2, hi2 in boxes
-                    if lo1 < p and hi2 > q or hi1 > p and lo2 < q]
-        return touches
-    _, lo1, hi1, lo2, hi2 = map(np.array, zip(*boxes))
+    (p, q), that is a (p', q') with p' < p and q' > q or p' > p and q' < q.
+    A run's joint box holds such a pair whenever one of its boxes does."""
+    runs = []
+    for i in range(0, len(boxes), _RUN):
+        run = boxes[i:i + _RUN]
+        _, lo1, hi1, lo2, hi2 = zip(*run)
+        runs.append((min(lo1), max(hi1), min(lo2), max(hi2), run))
 
     def touches(c: tuple[int, int]) -> list[int]:
         p, q = c
-        return np.flatnonzero((lo1 < p) & (hi2 > q) | (hi1 > p) & (lo2 < q)).tolist()
+        return [x for rlo1, rhi1, rlo2, rhi2, run in runs
+                if rlo1 < p and rhi2 > q or rhi1 > p and rlo2 < q
+                for x, lo1, hi1, lo2, hi2 in run
+                if lo1 < p and hi2 > q or hi1 > p and lo2 < q]
     return touches
 
 
