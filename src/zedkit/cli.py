@@ -316,6 +316,10 @@ def _bench_scenarios():
     # a random unsatisfiable formula whose set reduction the exact search refutes
     w1, w2, _ = reduce_3sat_to_set_zed(random_cnf(1, 12, 60, distinct_vars=True))
     yield "set reduction UNSAT n=12 m=60", 5.0, lambda: zed_set_exact(w1, w2)
+    # and an 830-gene one, where each binding picks the next item among
+    # hundreds of pending ones
+    v1, v2, _ = reduce_3sat_to_set_zed(random_cnf(2, 20, 90, distinct_vars=True))
+    yield "set reduction UNSAT n=20 m=90", 6.0, lambda: zed_set_exact(v1, v2)
 
 
 def _cmd_bench(args) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import time
+from heapq import heapify, heappop, heappush
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .errors import SearchTimeoutError
@@ -52,18 +53,30 @@ def backjump_search(
     is.
 
     Forward checking with conflict-directed backjumping (Prosser 1993,
-    "Hybrid algorithms for the constraint satisfaction problem"): the next
-    item is the one with the fewest live candidates (ties: larger
-    degree[x], then smaller x; an item with one live candidate is taken at
-    once).  Binding it filters the live candidates of each pending item it
-    touches through keep and records the binding as a pruner of each domain
-    it shrank.  A domain wiped out adds its pruners to the binding's conflict
-    set, and an item out of candidates jumps back to the latest item in its
-    conflict set, over every item bound since.  The search is a loop over a
-    stack of frames, as Prosser states it, so its depth is not bounded by
-    the interpreter's recursion limit.  Raises SearchTimeoutError (not a NO
-    answer) once timeout_s seconds have passed, ValueError when timeout_s is
-    NaN.
+    "Hybrid algorithms for the constraint satisfaction problem").  The next
+    item is the smallest-index one with one live candidate, else the pending
+    item that minimizes (live size, -degree[x], x).  Binding it filters the
+    live candidates of each pending item it touches through keep and records
+    the binding as a pruner of each domain it shrank.  A domain wiped out
+    adds its pruners to the binding's conflict set, and an item out of
+    candidates jumps back to the latest item in its conflict set, over every
+    item bound since.  The search is a loop over a stack of frames, as
+    Prosser states it, so its depth is not bounded by the interpreter's
+    recursion limit.  Raises SearchTimeoutError (not a NO answer) once
+    timeout_s seconds have passed, ValueError when timeout_s is NaN.
+
+    The pick pops a min-heap of integer keys that order the items as (live
+    size, -degree, index), except that one-candidate items come first, by
+    index alone, and an empty domain (only a caller can give one) comes
+    next.  An accepted binding pushes a key for each item it shrank, a
+    backjump one for each item it unbinds or restores, and a refuted
+    candidate none; a popped key that no longer matches its item is dropped.
+    Each key is pushed and popped at most once, at O(log(items + trail))
+    each, so a pick costs that much per shrink, unbinding or restore since
+    the one before it.  The heap is rebuilt from the pending items whenever
+    it would outgrow twice the items plus the undo trail, so the selection
+    state is O(items + trail) at every point, inside one frame's candidate
+    loop too.
     """
     n = len(domains)
     stop = deadline(timeout_s)
@@ -74,36 +87,46 @@ def backjump_search(
     trail: list[tuple[int, D, int]] = []
     chosen: list = [None] * n
     bound = [False] * n
-    # one frame per bound item: (item, items pending under it, its untried
-    # candidates, its conflict set, the trail length before its binding)
-    stack: list[tuple[int, list[int], Iterator[C], set[int], int]] = []
+    # one frame per bound item: (item, its untried candidates, its conflict
+    # set, the trail length before its binding); the items not bound are the
+    # pending ones
+    stack: list[tuple[int, Iterator[C], set[int], int]] = []
+
+    # selection keys: y for an item y of one live candidate, else
+    # rank * step + base[y], where rank is the live size or 1 for an empty
+    # domain, and base[y] < step orders by larger degree, then index; key % n
+    # is the item.  A key in the heap counts while its item is pending with
+    # that key, and every pending item has one whenever the next is picked.
+    top = max(degree, default=0)
+    step = n * (top - min(degree, default=0) + 1)
+    base = [(top - d) * n + y for y, d in enumerate(degree)]
+    heap = [y if s == 1 else (s or 1) * step + base[y] for y, s in enumerate(sizes)]
+    heapify(heap)
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
             y, live[y], sizes[y] = trail.pop()
             pruners[y].pop()
 
-    pending: list[int] | None = list(range(n))
+    descend = True
     while True:
-        if pending is not None:  # descend: bind the next item
+        if descend:  # bind the next item
             if time.monotonic() > stop:
                 raise timeout_error(timeout_s)
-            if not pending:
+            if len(stack) == n:
                 return chosen
-            pick = best = None
-            for y in pending:
-                size = sizes[y]
-                if size == 1:
-                    pick = y
+            while True:
+                key = heappop(heap)
+                pick = key % n
+                if bound[pick]:
+                    continue
+                size = sizes[pick]
+                if key == (pick if size == 1 else (size or 1) * step + base[pick]):
                     break
-                if best is None or size < best or size == best and degree[y] > degree[pick]:
-                    pick, best = y, size
-            rest = pending.copy()
-            rest.remove(pick)
             bound[pick] = True
-            stack.append((pick, rest, iter(live[pick]), set(pruners[pick]), len(trail)))
-        pick, rest, cands, conflict, mark = stack[-1]
-        pending = None
+            stack.append((pick, iter(live[pick]), set(pruners[pick]), len(trail)))
+        pick, cands, conflict, mark = stack[-1]
+        descend = False
         for c in cands:
             chosen[pick] = c
             for y in touches(c):
@@ -120,16 +143,31 @@ def backjump_search(
                         conflict.update(pruners[y])
                         break
             else:
-                pending = rest  # no domain wiped out
+                descend = True  # no domain wiped out
                 break
             undo(mark)
-        if pending is None:
+        if descend:  # the items the binding shrank rank by their new sizes
+            for y, _, _ in trail[mark:]:
+                size = sizes[y]
+                heappush(heap, y if size == 1 else size * step + base[y])
+        else:
             # out of candidates: jump back to the latest item in the conflict
             # set; the frames above it fail under the same bindings
             conflict.discard(pick)
+            changed = set()
             while stack and stack[-1][0] not in conflict:
-                bound[stack.pop()[0]] = False
+                y = stack.pop()[0]
+                bound[y] = False
+                changed.add(y)
             if not stack:
                 return None
-            stack[-1][3].update(conflict)
-            undo(stack[-1][4])
+            _, _, target, mark = stack[-1]
+            target.update(conflict)
+            changed.update(y for y, _, _ in trail[mark:])
+            undo(mark)
+            if len(heap) + len(changed) > 2 * (n + len(trail)):
+                changed = [y for y in range(n) if not bound[y]]
+                heap = []
+            for y in changed:  # the unbound and restored items
+                size = sizes[y]
+                heappush(heap, y if size == 1 else (size or 1) * step + base[y])

@@ -233,3 +233,118 @@ def parse_genome_reference(data, ordered: bool):
     if not ordered:
         return tuple(chromosomes)
     return tuple(genes) if genes else (1, 1, "EmptyInput")
+
+
+def backjump_reference(domains, degree, keep, touches):
+    """The forward-checking backjump search that picks its next item by
+    scanning every pending item: the first with one live candidate, else the
+    fewest live candidates, then the larger degree, then the smaller index.
+    One candidate per item as a list, or None; same arguments as
+    zedkit.search.backjump_search without its clock."""
+    n = len(domains)
+    live = list(domains)
+    sizes = [len(d) for d in domains]
+    pruners = [[] for _ in range(n)]
+    trail = []  # (item, live candidates, size) before each shrink
+    chosen = [None] * n
+    bound = [False] * n
+    stack = []  # (item, items pending under it, untried candidates, conflict set, trail mark)
+
+    def undo(mark):
+        while len(trail) > mark:
+            y, live[y], sizes[y] = trail.pop()
+            pruners[y].pop()
+
+    pending = list(range(n))
+    while True:
+        if pending is not None:
+            if not pending:
+                return chosen
+            pick = best = None
+            for y in pending:
+                size = sizes[y]
+                if size == 1:
+                    pick = y
+                    break
+                if best is None or size < best or size == best and degree[y] > degree[pick]:
+                    pick, best = y, size
+            rest = [y for y in pending if y != pick]
+            bound[pick] = True
+            stack.append((pick, rest, iter(live[pick]), set(pruners[pick]), len(trail)))
+        pick, rest, cands, conflict, mark = stack[-1]
+        pending = None
+        for c in cands:
+            chosen[pick] = c
+            wiped = False
+            for y in touches(c):
+                if bound[y]:
+                    continue
+                after = keep(c, live[y])
+                if len(after) < sizes[y]:
+                    trail.append((y, live[y], sizes[y]))
+                    live[y], sizes[y] = after, len(after)
+                    pruners[y].append(pick)
+                    if not after:
+                        conflict.update(pruners[y])
+                        wiped = True
+                        break
+            if not wiped:
+                pending = rest
+                break
+            undo(mark)
+        if pending is None:
+            conflict.discard(pick)
+            while stack and stack[-1][0] not in conflict:
+                bound[stack.pop()[0]] = False
+            if not stack:
+                return None
+            stack[-1][3].update(conflict)
+            undo(stack[-1][4])
+
+
+def dpll_sat(n_vars, clauses):
+    """(model, nodes): a satisfying assignment {variable: bool} of the CNF
+    whose clauses are lists of non-zero DIMACS literals, or None, and the
+    number of search nodes.  Unit propagation, then a branch on the first
+    literal of the shortest open clause, true first."""
+    nodes = 0
+
+    def solve(clauses, model):
+        nonlocal nodes
+        nodes += 1
+        while True:  # unit propagation
+            unit = next((cl[0] for cl in clauses if len(cl) == 1), None)
+            if unit is None:
+                break
+            clauses = assume(clauses, unit)
+            if clauses is None:
+                return None
+            model = {**model, abs(unit): unit > 0}
+        if not clauses:
+            return model
+        literal = min(clauses, key=len)[0]
+        for choice in (literal, -literal):
+            reduced = assume(clauses, choice)
+            if reduced is not None:
+                found = solve(reduced, {**model, abs(choice): choice > 0})
+                if found is not None:
+                    return found
+        return None
+
+    def assume(clauses, literal):
+        # the clauses left once literal holds; None when one becomes empty
+        out = []
+        for cl in clauses:
+            if literal in cl:
+                continue
+            rest = [l for l in cl if l != -literal]
+            if not rest:
+                return None
+            out.append(rest)
+        return out
+
+    clauses = [list(dict.fromkeys(cl)) for cl in clauses]
+    model = None if not all(clauses) else solve(clauses, {})
+    if model is not None:
+        model = {v: model.get(v, False) for v in range(1, n_vars + 1)}
+    return model, nodes

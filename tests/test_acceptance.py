@@ -319,11 +319,20 @@ def test_criterion_10_complexity_smoke():
     with stopwatch() as sw_identity:
         assert zed_seq_exact(same, same).answer
     assert sw_identity.elapsed < 1.0
+    # an UNSAT formula (19 DPLL nodes) whose 830-gene set reduction the exact
+    # search refutes
+    phi = random_cnf(2, 20, 90, distinct_vars=True)
+    clauses = [[lit.variable if lit.positive else -lit.variable for lit in cl] for cl in phi.clauses]
+    assert oracles.dpll_sat(phi.n_vars, clauses)[0] is None
+    u1, u2, _ = reduce_3sat_to_set_zed(phi)
+    with stopwatch() as sw_unsat:
+        assert not zed_set_exact(u1, u2).answer
+    assert sw_unsat.elapsed < 6.0
     report(10, f"lcs 5000x5000 {sw_lcs.elapsed:.2f}s, matching k=200 {sw_match.elapsed:.2f}s, "
                f"matching k=2000 {sw_big.elapsed:.2f}s, permutation scan k=8 {sw_fpt.elapsed:.2f}s, "
                f"verify k=1500 path {sw_path.elapsed:.3f}s, verify 1000+1000 empty "
                f"{sw_empty.elapsed:.3f}s, seq exact identity 2999 families "
-               f"{sw_identity.elapsed:.2f}s")
+               f"{sw_identity.elapsed:.2f}s, set reduction UNSAT n=20 m=90 {sw_unsat.elapsed:.2f}s")
 
 
 def test_criterion_11_io_round_trips_and_diagnostics():

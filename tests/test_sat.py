@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from worked_examples import (
     COMPLETE_UNSAT_N3,
     DEGENERATE_UNSAT,
@@ -67,6 +68,30 @@ def test_brute_force_sat_known_formulas():
     assert sigma is not None and eval_assignment(TWO_CLAUSE_FORMULA, sigma)
     assert brute_force_sat(DEGENERATE_UNSAT) is None
     assert brute_force_sat(COMPLETE_UNSAT_N3) is None
+
+
+def dimacs(phi):
+    return [[lit.variable if lit.positive else -lit.variable for lit in cl] for cl in phi.clauses]
+
+
+def test_dpll_oracle_agrees_with_brute_force():
+    """The independent DPLL of tests/oracles.py against brute_force_sat on 60
+    random formulas with about five clauses per variable (32 UNSAT, 28 SAT),
+    n = 8..14."""
+    verdicts = set()
+    for seed in range(60):
+        rng = SplitMix64(9_000 + seed)
+        n = rng.randint(8, 14)
+        phi = random_cnf(rng.next64(), n, 5 * n + rng.randint(-4, 2), distinct_vars=True)
+        model, nodes = oracles.dpll_sat(n, dimacs(phi))
+        expected = brute_force_sat(phi)
+        assert (model is None) == (expected is None)
+        if model is not None:
+            assert eval_assignment(phi, model)
+        assert nodes >= 1
+        verdicts.add(model is None)
+    assert verdicts == {True, False}
+    assert oracles.dpll_sat(3, dimacs(COMPLETE_UNSAT_N3))[0] is None
 
 
 def test_brute_force_sat_cap():

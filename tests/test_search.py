@@ -1,8 +1,11 @@
-"""The shared backjump search: in both genome models, filtering only the
-items a binding touches (for the ordered model, the families with a pair that
-crosses it) leaves the search step for step the same as filtering every item.
-No search recurses: none changes the recursion limit, concurrent searches are
-safe, and none leaves a reference cycle."""
+"""The shared backjump search: it makes the same keep calls, in the same
+order, as the reference kernel that picks each item by scanning every pending
+one (`oracles.backjump_reference`), and its selection state does not grow
+with the candidates one frame refutes.  In both genome models, filtering only
+the items a binding touches (for the ordered model, the families with a pair
+that crosses it) leaves the search step for step the same as filtering every
+item.  No search recurses: none changes the recursion limit, concurrent
+searches are safe, and none leaves a reference cycle."""
 
 import gc
 import os
@@ -10,8 +13,13 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
 
 import zedkit
 from zedkit import (
@@ -51,22 +59,103 @@ def colouring(edges, n_items, n_colours):
 
 
 class Recorder:
-    """keep wrapped to count its calls and log (c, len(live), len(after)) of
-    each call that shrank a domain."""
+    """keep wrapped to log (c, len(live), len(after)) of every call; shrinks
+    holds the entries of the calls that shrank a domain."""
 
     def __init__(self, keep):
         self.keep = keep
-        self.calls = 0
+        self.log = []
         self.shrinks = []
         self.limits = set()
 
+    @property
+    def calls(self):
+        return len(self.log)
+
     def __call__(self, c, live):
         after = self.keep(c, live)
-        self.calls += 1
+        self.log.append((c, len(live), len(after)))
         self.limits.add(sys.getrecursionlimit())
         if len(after) < len(live):
-            self.shrinks.append((c, len(live), len(after)))
+            self.shrinks.append(self.log[-1])
         return after
+
+
+def assert_reference_trace(domains, degree, keep, touches):
+    """The kernel and the reference give the same answer after the same keep
+    calls."""
+    runs = []
+    for search in colour, oracles.backjump_reference:
+        rec = Recorder(keep)
+        runs.append((search(domains, degree, rec, touches), rec.log))
+    assert runs[0] == runs[1]
+
+
+@st.composite
+def colourings(draw):
+    """A colouring whose items each allow their own colours (one, several or
+    none) and carry arbitrary degrees, so that sizes and degrees tie."""
+    n = draw(st.integers(1, 9))
+    allowed = draw(st.lists(st.lists(st.integers(0, 2), unique=True, max_size=3).map(sorted),
+                            min_size=n, max_size=n))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    degree = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return allowed, edges, degree
+
+
+@given(colourings())
+@settings(max_examples=300, deadline=None)
+# two one-candidate items, the lower-index one of lower degree, with
+# different neighbours: it is picked first, whatever its degree
+@example(([[0], [0], [0, 1], [0, 1]], [(0, 2), (1, 3)], [0, 3, 1, 1]))
+# an empty domain waits until no item has one candidate
+@example(([[], [0], [0, 1], [1]], [(1, 2), (2, 3)], [5, 0, 0, 0]))
+def test_kernel_keeps_the_reference_trace_on_colourings(case):
+    allowed, edges, degree = case
+    _, _, keep, touches = colouring(edges, len(allowed), 3)
+    domains = [[(x, k) for k in ks] for x, ks in enumerate(allowed)]
+    assert_reference_trace(domains, degree, keep, touches)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_keeps_the_reference_trace_on_reductions(seed):
+    formula = random_cnf(seed, 8, 40, distinct_vars=True)
+    g1, g2, _ = reduce_3sat_to_set_zed(formula)
+    _, domains, degree, touches = sets._search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    assert_reference_trace(domains, degree, _disjoint_pairs, touches)
+    g1, g2, _ = reduce_3sat_to_seq_zed(formula)
+    _, domains, degree, touches = seq._search_inputs(g1, g2)
+    assert_reference_trace(domains, degree, _non_crossing, touches)
+
+
+def refuted_frame(n_cands):
+    """Item 0 has n_cands candidates; each cuts items 1 and 2 to one
+    candidate, and those two rule each other out, so every candidate of item
+    0 ends in a backjump to it.  Domains are ranges, which take no memory per
+    candidate."""
+    domains = [range(n_cands), range(n_cands, 2 * n_cands), range(n_cands, 2 * n_cands)]
+    calls = [0]
+
+    def keep(c, live):
+        calls[0] += 1
+        return live[:1] if c < n_cands else live[:0]
+
+    return domains, [2, 1, 1], keep, lambda c: (1, 2), calls
+
+
+def test_kernel_state_does_not_grow_with_refuted_candidates():
+    peaks = {}
+    for n_cands in 2_000, 20_000:
+        domains, degree, keep, touches, calls = refuted_frame(n_cands)
+        tracemalloc.start()
+        try:
+            assert backjump_search(domains, degree, keep, 60.0, touches) is None
+            peaks[n_cands] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [3 * n_cands]
+    assert peaks[20_000] < 2 * peaks[2_000]
 
 
 def both_runs(domains, degree, keep, touches):
