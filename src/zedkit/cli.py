@@ -22,6 +22,8 @@ from pathlib import Path
 
 from .errors import CapExceededError, ParseError, PreconditionViolatedError, SearchTimeoutError
 from .formats import (
+    MALFORMED_TOKEN,
+    ZERO_GENE,
     emit_dimacs3,
     emit_name_table,
     emit_seq_genome,
@@ -254,84 +256,106 @@ def _cmd_selftest(args) -> int:
     return EXIT_YES
 
 
+def _verdict(dec) -> str:
+    return "YES" if dec.answer else "NO"
+
+
+def _refusal(text: str):
+    """Where parse_seq_genome refuses text, as (line, column, code)."""
+    try:
+        parse_seq_genome(text)
+    except ParseError as exc:
+        return exc.diagnostic.line, exc.diagnostic.column, exc.diagnostic.code
+    return "accepted"
+
+
 def _bench_scenarios():
+    """Every timed floor of the project, as (name, budget in seconds, run,
+    the outcome run must return).  The acceptance tests run this list."""
     from .generate import SplitMix64
 
     rng = SplitMix64(2024)
     a = parse_seq_genome(" ".join(str(rng.randint(1, 40)) for _ in range(5000)))
     b = parse_seq_genome(" ".join(str(rng.randint(1, 40)) for _ in range(5000)))
-    yield "lcs n=m=5000", 5.0, lambda: lcs(a, b)
+    yield "lcs n=m=5000", 5.0, lambda: len(lcs(a, b)), 1344
 
     # 7980 x 7948 genes but only 6252 signed match pairs
     p1, p2 = random_seq_pair(7, 6000, max_occ=3, special=True)
-    yield "special LCS 6000 families", 1.0, lambda: zed_seq_special(p1, p2)
+    yield "special LCS 6000 families", 1.0, lambda: _verdict(zed_seq_special(p1, p2)), "NO"
 
     # 133 251 genes on one 0.8 MB line, then the same line ending in a bad
-    # token: a line check that backtracked over the tokens before it would
-    # show here
-    text = emit_seq_genome(random_seq_pair(3, 100000, max_occ=3, special=True)[0])
-    yield "parse 0.8 MB genome", 0.5, lambda: parse_seq_genome(text)
-
-    def refuse(tail):
-        bad = text.rstrip("\n") + tail
-
-        def run():
-            try:
-                parse_seq_genome(bad)
-            except ParseError:
-                return
-            raise AssertionError(f"a genome ending in {tail!r} was accepted")
-        return run
-
-    yield "parse 0.8 MB genome, bad last token", 0.5, refuse(" x")
-    # a token the line check converts, then refuses as a gene
-    yield "parse 0.8 MB genome, bad last gene", 0.5, refuse(" 0")
+    # token or gene: a check that backtracked over the tokens before it, or
+    # walked the line again from its first column, would show here
+    g = random_seq_pair(3, 100000, max_occ=3, special=True)[0]
+    line = emit_seq_genome(g).rstrip("\n")
+    yield "parse 0.8 MB genome", 0.5, lambda: parse_seq_genome(line) == g, True
+    for tail, code in (" x", MALFORMED_TOKEN), (" 0", ZERO_GENE), (" 2147483648", MALFORMED_TOKEN):
+        yield (f"parse 0.8 MB genome, bad last token{tail}", 0.5,
+               functools.partial(_refusal, line + tail), (1, len(line) + 2, code))
 
     s1, s2 = random_set_pair(2024, 2000, 200, special=True)
-    yield "matching k=200 |S|=2000", 5.0, lambda: zed_set_matching(s1, s2)
+    yield "matching k=200 |S|=2000", 5.0, lambda: _verdict(zed_set_matching(s1, s2)), "NO"
     t1, t2 = random_set_pair(2024, 20000, 2000, special=True)
-    yield "matching k=2000 |S|=20000", 5.0, lambda: zed_set_matching(t1, t2)
+    yield "matching k=2000 |S|=20000", 2.0, lambda: _verdict(zed_set_matching(t1, t2)), "NO"
 
     # genes 1 and 2 share a left chromosome but no right one, so every one of
     # the 8! pairings is scanned before answering NO
     f1 = SetGenome.of({1, 2}, {3}, {4}, {5}, {6}, {7}, {8})
     f2 = SetGenome.of({1}, {2}, {3}, {4}, {5}, {6}, {7}, {8})
-    yield "permutation scan k=8", 10.0, lambda: zed_set_fpt(f1, f2)
+    yield "permutation scan k=8", 10.0, lambda: _verdict(zed_set_fpt(f1, f2)), "NO"
+
+    # hosts {h, h+1} plus {k} with singleton blocks: augmenting paths k steps long
+    chain = SetGenome(tuple(frozenset({h, h + 1}) for h in range(1, 1500)) + (frozenset({1500}),))
+    units = SetGenome(tuple(frozenset({g}) for g in range(1, 1501)))
+    yield "verify k=1500 path", 0.5, lambda: verify_set_certificate(chain, chain, units).ok, True
+    # 1000 singleton chromosomes plus 1000 empty ones, certified by themselves
+    padded = SetGenome(units.chromosomes[:1000] + (frozenset(),) * 1000)
+    yield ("verify 1000+1000 empty", 0.5,
+           lambda: verify_set_certificate(padded, padded, padded).ok, True)
 
     # the complete unsatisfiable 3-variable formula (all eight sign patterns)
     # compiles to a 55-family ordered pair that the exact search must refute
     phi = CnfFormula.of(3, *itertools.product((1, -1), (2, -2), (3, -3)))
     u1, u2, _ = reduce_3sat_to_seq_zed(phi)
-    yield "seq reduction complete UNSAT n=3", 5.0, lambda: zed_seq_exact(u1, u2)
+    yield "seq reduction complete UNSAT n=3", 1.0, lambda: _verdict(zed_seq_exact(u1, u2)), "NO"
 
     # no binding crosses a pair of another family, so none filters a family
     same = SeqGenome(tuple(range(1, 3000)))
-    yield "seq exact identity 2999 families", 1.0, lambda: zed_seq_exact(same, same)
+    yield ("seq exact identity 2999 families", 1.0,
+           lambda: _verdict(zed_seq_exact(same, same)), "YES")
     # families 1..3 in reversed block order: every binding touches every
     # family, and each of the first family's 90 000 pairs is refuted
     r1 = SeqGenome(tuple(f for f in (1, 2, 3) for _ in range(300)))
     r2 = SeqGenome(tuple(f for f in (3, 2, 1) for _ in range(300)))
-    yield "seq exact reversed blocks 3 x 300 copies", 1.0, lambda: zed_seq_exact(r1, r2)
+    yield ("seq exact reversed blocks 3 x 300 copies", 1.0,
+           lambda: _verdict(zed_seq_exact(r1, r2)), "NO")
 
-    # a random unsatisfiable formula whose set reduction the exact search refutes
-    w1, w2, _ = reduce_3sat_to_set_zed(random_cnf(1, 12, 60, distinct_vars=True))
-    yield "set reduction UNSAT n=12 m=60", 5.0, lambda: zed_set_exact(w1, w2)
-    # and an 830-gene one, where each binding picks the next item among
+    # random unsatisfiable formulas whose set reductions the exact search
+    # refutes; in the 830-gene one each binding picks the next item among
     # hundreds of pending ones
+    w1, w2, _ = reduce_3sat_to_set_zed(random_cnf(1, 12, 60, distinct_vars=True))
+    yield "set reduction UNSAT n=12 m=60", 5.0, lambda: _verdict(zed_set_exact(w1, w2)), "NO"
     v1, v2, _ = reduce_3sat_to_set_zed(random_cnf(2, 20, 90, distinct_vars=True))
-    yield "set reduction UNSAT n=20 m=90", 6.0, lambda: zed_set_exact(v1, v2)
+    yield "set reduction UNSAT n=20 m=90", 6.0, lambda: _verdict(zed_set_exact(v1, v2)), "NO"
 
 
 def _cmd_bench(args) -> int:
-    ok = True
-    for name, target, fn in _bench_scenarios():
+    """Run every scenario; a wrong outcome, a raise or a run over budget
+    fails the command, and the other scenarios still run."""
+    failed = False
+    for name, budget, run, expected in _bench_scenarios():
         t0 = time.perf_counter()
-        fn()
+        try:
+            outcome = run()
+        except Exception as exc:
+            outcome = f"raised {type(exc).__name__}: {exc}"
         dt = time.perf_counter() - t0
-        status = "ok" if dt < target else "OVER"
-        ok &= dt < target
-        print(f"{name}: {dt:.2f}s (target < {target:g}s) {status}")
-    return EXIT_YES if ok else EXIT_NO
+        faults = [] if dt < budget else ["OVER"]
+        if outcome != expected:
+            faults.append(f"WRONG (expected {expected!r}, got {outcome!r})")
+        failed |= bool(faults)
+        print(f"{name}: {dt:.2f}s (budget {budget:g}s) {' '.join(faults) or 'ok'}")
+    return EXIT_NO if failed else EXIT_YES
 
 
 def _finite_seconds(text: str) -> float:
@@ -424,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-cases", type=_positive_int, default=10, help="minimum coverage per suite")
     p.set_defaults(func=_cmd_selftest)
 
-    p = sub.add_parser("bench", help="complexity smoke benchmarks")
+    p = sub.add_parser("bench", help="time every floor and check its outcome")
     p.set_defaults(func=_cmd_bench)
 
     return parser

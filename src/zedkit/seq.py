@@ -197,10 +197,6 @@ def weighted_lcs(a: SeqGenome, b: SeqGenome, weights: WeightAssignment) -> SeqGe
     return SeqGenome(_max_weight_subsequence(a.genes, b.genes, weights.weight_of))
 
 
-def total_weight(genome: SeqGenome, weights: WeightAssignment) -> int:
-    return sum(weights.weight_of[abs(g)] for g in genome.genes)
-
-
 def zed_one_side_duplicate_free(exemplar_side: SeqGenome, other: SeqGenome) -> SeqDecision:
     """Linear-time decision when one genome is already duplicate-free: the
     distance is zero iff both hold the same families and that genome embeds

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -381,6 +382,22 @@ def test_selftest_names_the_suite_and_seed_that_raised(monkeypatch, capsys):
     assert f"FAIL boom (seed {seed}): raised IndexError: list index out of range" in captured.err
     assert f"boom (seed {seed + 2})" in captured.err
     assert f"{selftest.SUITES[1][0]}: 3 cases" in captured.out
+
+
+def test_bench_reports_every_scenario_and_fails_on_a_wrong_or_slow_one(monkeypatch, capsys):
+    def raises():
+        raise IndexError("list index out of range")
+
+    toys = [("right", 5.0, lambda: "NO", "NO"), ("wrong", 5.0, lambda: "YES", "NO"),
+            ("slow", 0.01, lambda: time.sleep(0.05), None), ("raises", 5.0, raises, "NO")]
+    monkeypatch.setattr(zedkit.cli, "_bench_scenarios", lambda: iter(toys))
+    assert main(["bench"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["right", "wrong", "slow", "raises"]
+    assert lines[0].endswith(" ok")
+    assert lines[1].endswith("WRONG (expected 'NO', got 'YES')")
+    assert lines[2].endswith(" OVER")
+    assert lines[3].endswith("got 'raised IndexError: list index out of range')")
 
 
 def test_run_selftest_flags_a_short_run_with_budget_to_spare():

@@ -199,6 +199,18 @@ def test_solve_seq_decides_257_family_reductions_by_default(seed):
         assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_seq_reductions_past_brute_force_agree_with_dpll(seed):
+    """n=24, m=110, where brute_force_sat is too slow to run: seed 2 is UNSAT
+    (39 DPLL nodes), the others are SAT."""
+    phi = random_cnf(seed, 24, 110, distinct_vars=True)
+    g1, g2, _ = reduce_3sat_to_seq_zed(phi)
+    dec = zed_seq_exact(g1, g2)
+    assert dec.answer == (oracles.dpll_sat(phi.n_vars, dimacs(phi))[0] is not None)
+    if dec.answer:
+        assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
+
+
 def test_set_reduction_matches_golden_files(data_dir):
     g1, g2, table = reduce_3sat_to_set_zed(TWO_CLAUSE_FORMULA)
     assert g1.total_genes() == 34  # n + 15m

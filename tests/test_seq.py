@@ -19,12 +19,14 @@ from worked_examples import (
 from zedkit import (
     Alphabet,
     CapExceededError,
+    InstanceClass,
     MissingWeightError,
     PreconditionViolatedError,
     SearchTimeoutError,
     SeqDecision,
     SeqGenome,
     WeightAssignment,
+    classify_instance,
     elcs_exact_oracle,
     elcs_feasible,
     elcs_special,
@@ -42,7 +44,6 @@ from zedkit.generate import SplitMix64, random_seq_pair
 from zedkit.seq import (
     _dense_max_weight_subsequence,
     _sparse_max_weight_subsequence,
-    total_weight,
 )
 
 signed_genes = st.builds(
@@ -190,7 +191,7 @@ def test_weighted_lcs_worked_instance():
     weights = WeightAssignment.elcs(ELCS_ALPHABET, ELCS_A, ELCS_B)
     assert {weights.weight_of[f] for f in ELCS_ALPHABET.mandatory} == {9}
     best = weighted_lcs(ELCS_A, ELCS_B, weights)
-    got = total_weight(best, weights)
+    got = sum(weights.weight_of[abs(g)] for g in best.genes)
     assert got == 30  # frozen from the enumeration oracle: 3 * 9 + 3 * 1
     assert got == oracles.max_common_subsequence_weight(
         ELCS_A.genes, ELCS_B.genes, weights.weight_of
@@ -451,3 +452,21 @@ def test_zed_seq_special_agrees_with_exact(seed):
     assert zed_seq_special(g1, g2).answer == exact
     route, dec = solve_seq(g1, g2)
     assert route in ("equality", "subsequence", "special") and dec.answer == exact
+
+
+@given(st.integers(0, 2**32), st.integers(1, 6), st.integers(1, 3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_every_mode_ends_in_a_verified_yes_a_no_or_a_typed_error(seed, n, occ, special):
+    g1, g2 = random_seq_pair(seed, n, max_occ=occ, special=special)
+    answers = set()
+    for mode in seq.MODES:
+        try:
+            _, dec = solve_seq(g1, g2, mode=mode, timeout_s=1.0)
+        except PreconditionViolatedError:
+            assert mode == "special" and classify_instance(g1, g2) is InstanceClass.GENERAL
+            continue
+        except SearchTimeoutError:
+            continue
+        assert not dec.answer or verify_seq_certificate(g1, g2, dec.certificate).ok
+        answers.add(dec.answer)
+    assert len(answers) <= 1

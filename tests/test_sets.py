@@ -20,6 +20,7 @@ from zedkit import (
     zed_set_fpt,
     zed_set_matching,
 )
+from zedkit import sets
 from zedkit.generate import SplitMix64, random_set_pair
 from zedkit.model import NO_EMBEDDING_IN_G1, NO_EMBEDDING_IN_G2, NOT_PARTITION
 
@@ -391,3 +392,21 @@ def test_any_yes_certificate_partitions_the_ground_set(g1, g2):
             g1.ground_set | g2.ground_set
         )
     assert dec.answer == zed_set_exact(g1, g2).answer
+
+
+@given(st.integers(0, 2**32), st.integers(1, 8), st.integers(1, 4), st.integers(1, 3), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_every_mode_ends_in_a_verified_yes_a_no_or_a_typed_error(seed, n, k, occ, special):
+    g1, g2 = random_set_pair(seed, n, k, max_occ=occ, special=special)
+    answers = set()
+    for mode in sets.MODES:
+        try:
+            _, dec = solve_set(g1, g2, mode=mode, timeout_s=1.0)
+        except PreconditionViolatedError:
+            assert mode == "matching" and classify_instance(g1, g2) is InstanceClass.GENERAL
+            continue
+        except SearchTimeoutError:
+            continue
+        assert not dec.answer or verify_set_certificate(g1, g2, dec.certificate).ok
+        answers.add(dec.answer)
+    assert len(answers) <= 1
