@@ -67,8 +67,7 @@ def backjump_search(
 
     The pick pops a min-heap of integer keys that order the items as (live
     size, -degree, index), except that one-candidate items come first, by
-    index alone, and an empty domain (only a caller can give one) comes
-    next.  An accepted binding pushes a key for each item it shrank, a
+    index alone.  An accepted binding pushes a key for each item it shrank, a
     backjump one for each item it unbinds or restores, and a refuted
     candidate none; a popped key that no longer matches its item is dropped.
     Each key is pushed and popped at most once, at O(log(items + trail))
@@ -80,8 +79,10 @@ def backjump_search(
     """
     n = len(domains)
     stop = deadline(timeout_s)
-    live = list(domains)
     sizes = [len(d) for d in domains]
+    if 0 in sizes:
+        return None
+    live = list(domains)
     pruners: list[list[int]] = [[] for _ in range(n)]
     # undo trail: (item, its live candidates and their count before a shrink)
     trail: list[tuple[int, D, int]] = []
@@ -93,14 +94,14 @@ def backjump_search(
     stack: list[tuple[int, Iterator[C], set[int], int]] = []
 
     # selection keys: y for an item y of one live candidate, else
-    # rank * step + base[y], where rank is the live size or 1 for an empty
-    # domain, and base[y] < step orders by larger degree, then index; key % n
-    # is the item.  A key in the heap counts while its item is pending with
-    # that key, and every pending item has one whenever the next is picked.
+    # size * step + base[y], where base[y] < step orders by larger degree,
+    # then index; key % n is the item.  A key in the heap counts while its
+    # item is pending with that key, and every pending item has one whenever
+    # the next is picked.
     top = max(degree, default=0)
     step = n * (top - min(degree, default=0) + 1)
     base = [(top - d) * n + y for y, d in enumerate(degree)]
-    heap = [y if s == 1 else (s or 1) * step + base[y] for y, s in enumerate(sizes)]
+    heap = [y if s == 1 else s * step + base[y] for y, s in enumerate(sizes)]
     heapify(heap)
 
     def undo(mark: int) -> None:
@@ -121,7 +122,7 @@ def backjump_search(
                 if bound[pick]:
                     continue
                 size = sizes[pick]
-                if key == (pick if size == 1 else (size or 1) * step + base[pick]):
+                if key == (pick if size == 1 else size * step + base[pick]):
                     break
             bound[pick] = True
             stack.append((pick, iter(live[pick]), set(pruners[pick]), len(trail)))
@@ -170,4 +171,4 @@ def backjump_search(
                 heap = []
             for y in changed:  # the unbound and restored items
                 size = sizes[y]
-                heappush(heap, y if size == 1 else (size or 1) * step + base[y])
+                heappush(heap, y if size == 1 else size * step + base[y])

@@ -23,6 +23,7 @@ from .sat import (
     reduce_3sat_to_seq_zed,
     reduce_3sat_to_set_zed,
 )
+from .search import deadline
 from .seq import (
     WeightAssignment,
     _dense_max_weight_subsequence,
@@ -190,12 +191,13 @@ def run_selftest(
     """Round-robin the suites on seeds BASE_SEED, BASE_SEED+1, ... until each
     has run max_cases or the budget runs out; short reports that some
     suite ran fewer than min_cases.  A suite that raises on a seed is
-    recorded as a failure of that seed, and the run goes on."""
+    recorded as a failure of that seed, and the run goes on.  Raises
+    ValueError when budget_s is NaN."""
     report = SelftestReport(cases={name: 0 for name, _ in SUITES})
-    deadline = time.monotonic() + budget_s
+    stop = deadline(budget_s)
     case = 0
     while any(n < max_cases for n in report.cases.values()):
-        if time.monotonic() >= deadline:
+        if time.monotonic() >= stop:
             break
         for name, fn in SUITES:
             if report.cases[name] >= max_cases:

@@ -325,9 +325,9 @@ def _non_crossing(c: tuple[int, int], live: _LivePairs) -> _LivePairs:
 
 # Boxes are tested in runs of this many consecutive families behind the
 # run's joint box, so a binding skips the runs that hold no pair crossing it.
-# On a shared 2-core VM the 2999-family identity pair (acceptance criterion
-# 10, under 1 s) took 0.1-0.17 s this way and 0.5-0.8 s with every box
-# tested; a search over at most 32 families (every ordered search in the
+# On a shared 2-core VM the 2999-family identity pair (`zed bench` "seq exact
+# identity 2999 families") took 0.1-0.17 s this way and 0.5-0.8 s with every
+# box tested; a search over at most 32 families (every ordered search in the
 # benchmark has 8 to 28) is one run and pays one extra test per binding.
 _RUN = 32
 

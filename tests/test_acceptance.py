@@ -163,18 +163,16 @@ def test_criterion_05_sequence_biconditional():
                 assert eval_assignment(phi, sigma)
         assert 0 < n_yes < len(cases)  # both outcomes exercised
         # 30-clause formulas compile to 187-family pairs
-        with stopwatch() as big:
-            for seed in range(5):
-                phi = random_cnf(seed, 3, 30)
-                g1, g2, _ = reduce_3sat_to_seq_zed(phi)
-                dec = zed_seq_exact(g1, g2)
-                assert dec.answer == (brute_force_sat(phi) is not None)
-                if dec.answer:
-                    assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
-        assert big.elapsed < 5.0
+        for seed in range(5):
+            phi = random_cnf(seed, 3, 30)
+            g1, g2, _ = reduce_3sat_to_seq_zed(phi)
+            dec = zed_seq_exact(g1, g2)
+            assert dec.answer == (brute_force_sat(phi) is not None)
+            if dec.answer:
+                assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
     assert sw.elapsed < 60.0
     report(5, f"202 formulas + five 30-clause sequence reductions agree with the oracle "
-              f"({sw.elapsed:.1f}s, 30-clause {big.elapsed:.2f}s)")
+              f"({sw.elapsed:.1f}s)")
 
 
 def test_criterion_06_set_biconditional():
@@ -193,14 +191,12 @@ def test_criterion_06_set_biconditional():
             assert dec.answer
             sigma = assignment_from_set_certificate(phi, dec.certificate)
             assert eval_assignment(phi, sigma)
-        # the unsatisfiable complete formula must answer NO within its budget
+        # the unsatisfiable complete formula must answer NO
         assert brute_force_sat(COMPLETE_UNSAT_N3) is None
         g1, g2, _ = reduce_3sat_to_set_zed(COMPLETE_UNSAT_N3)
-        with stopwatch() as hard:
-            assert not zed_set_exact(g1, g2, timeout_s=180.0).answer
-        assert hard.elapsed < 180.0
+        assert not zed_set_exact(g1, g2).answer
     report(6, f"201 satisfiable + complete unsatisfiable set reductions agree with the oracle "
-              f"({sw.elapsed:.1f}s, hard case {hard.elapsed:.2f}s)")
+              f"({sw.elapsed:.1f}s)")
 
 
 def test_criterion_07_gadget_crucial_properties():
@@ -273,8 +269,10 @@ def test_criterion_09_set_algorithm_agreement():
 
 def test_criterion_10_complexity_smoke():
     # `zed bench` holds every timed floor and checks each outcome it states;
-    # the NOs it expects of the reductions are checked here by the oracles
+    # the verdicts it expects of the reductions are checked here by the oracles
     assert brute_force_sat(COMPLETE_UNSAT_N3) is None
+    thirty = [brute_force_sat(random_cnf(seed, 3, 30)) is not None for seed in range(5)]
+    assert thirty == [False, True, False, False, False]
     for seed, n, m in (1, 12, 60), (2, 20, 90):  # 19 DPLL nodes for the n=20 one
         phi = random_cnf(seed, n, m, distinct_vars=True)
         clauses = [[lit.variable if lit.positive else -lit.variable for lit in cl] for cl in phi.clauses]

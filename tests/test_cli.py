@@ -400,6 +400,11 @@ def test_bench_reports_every_scenario_and_fails_on_a_wrong_or_slow_one(monkeypat
     assert lines[3].endswith("got 'raised IndexError: list index out of range')")
 
 
+def test_run_selftest_refuses_a_nan_budget():
+    with pytest.raises(ValueError):
+        run_selftest(float("nan"))
+
+
 def test_run_selftest_flags_a_short_run_with_budget_to_spare():
     report = run_selftest(60.0, min_cases=3, max_cases=2)
     assert not report.failures
@@ -416,6 +421,8 @@ def test_usage_errors(tmp_path, data_dir, seq_files, set_files):
         assert main(["elcs", *seq_files, "--mode", "oracle", "--max-mandatory", cap]) == 2
         assert main(["sat", str(data_dir / "example1.cnf"), "--max-vars", cap]) == 2
     assert main(["selftest", "--cases", "0"]) == 2
+    assert main(["selftest", "--budget", "nan"]) == 2
+    assert main(["selftest", "--budget", "inf"]) == 2
     assert main(["selftest", "--min-cases", "1000", "--cases", "5"]) == 2
     assert main(["no-such-command"]) == 2
     missing = str(tmp_path / "nope.seq")

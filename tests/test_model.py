@@ -106,7 +106,7 @@ def test_classify_family_mismatch():
 SEQ_MISMATCHES = [
     (SeqGenome.of(1, 2), SeqGenome.of(1, 3)),
     (SeqGenome.of(1, 1, 2, 2), SeqGenome.of(2, 2, 1, 1, -3)),
-    # 31 families in all, past zed_seq_exact's default cap of 25
+    # 31 families, 29 of them in both genomes: NO before any search
     (SeqGenome((*range(1, 31), 1)), SeqGenome((*range(2, 32), 2))),
 ]
 SET_MISMATCHES = [

@@ -109,13 +109,18 @@ def colourings(draw):
 # two one-candidate items, the lower-index one of lower degree, with
 # different neighbours: it is picked first, whatever its degree
 @example(([[0], [0], [0, 1], [0, 1]], [(0, 2), (1, 3)], [0, 3, 1, 1]))
-# an empty domain waits until no item has one candidate
+# an empty domain ends the search before any keep call
 @example(([[], [0], [0, 1], [1]], [(1, 2), (2, 3)], [5, 0, 0, 0]))
 def test_kernel_keeps_the_reference_trace_on_colourings(case):
     allowed, edges, degree = case
     _, _, keep, touches = colouring(edges, len(allowed), 3)
     domains = [[(x, k) for k in ks] for x, ks in enumerate(allowed)]
-    assert_reference_trace(domains, degree, keep, touches)
+    if [] in allowed:
+        rec = Recorder(keep)
+        assert colour(domains, degree, rec, touches) is None
+        assert rec.log == []
+    else:
+        assert_reference_trace(domains, degree, keep, touches)
 
 
 @pytest.mark.parametrize("seed", range(5))

