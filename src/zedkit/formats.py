@@ -35,6 +35,10 @@ _UNSIGNED_INT = re.compile(r"[0-9]+\Z")
 # the first other token and never backtracks into the tokens before it.
 _SEQ_TOKENS = re.compile(r"(?:\s*[+-]?[0-9]{1,10}(?=\s|\Z))*\s*", re.ASCII)
 _SET_TOKENS = re.compile(r"(?:\s*[0-9]{1,10}(?=\s|\Z))*\s*", re.ASCII)
+# A .set text of ASCII digits, spaces, tabs and newlines alone: no comment,
+# "-" line, sign or other character, and str.split("\n") breaks it into the
+# lines str.splitlines() gives.
+_CLEAN_SET = re.compile(r"[0-9 \t\n]*\Z")
 
 
 def _fail(line: int, column: int, code: str, message: str):
@@ -138,7 +142,7 @@ def parse_seq_genome(data) -> SeqGenome:
         genes += _line_genes(line, lineno, _SEQ_TOKENS, _SIGNED_INT, "a signed integer")
     if not genes:
         _fail(1, 1, EMPTY_INPUT, "no genes in input")
-    return SeqGenome(tuple(genes))
+    return SeqGenome._trusted(tuple(genes))
 
 
 def emit_seq_genome(genome: SeqGenome) -> str:
@@ -151,14 +155,40 @@ def emit_seq_genome(genome: SeqGenome) -> str:
 def parse_set_genome(data) -> SetGenome:
     """One chromosome per non-comment line of positive integer tokens; a line
     holding only '-' is an explicitly empty chromosome."""
-    chromosomes: list[frozenset[int]] = []
-    for lineno, line in _data_lines(_text(data)):
-        if line.strip() == "-":
-            chromosomes.append(frozenset())
-        else:
-            chromosomes.append(_line_genes(line, lineno, _SET_TOKENS, _UNSIGNED_INT,
-                                           "a positive integer", distinct=True))
-    return SetGenome(tuple(chromosomes))
+    text = _text(data)
+    chromosomes = _clean_set_chromosomes(text)
+    if chromosomes is None:
+        chromosomes = []
+        for lineno, line in _data_lines(text):
+            if line.strip() == "-":
+                chromosomes.append(frozenset())
+            else:
+                chromosomes.append(_line_genes(line, lineno, _SET_TOKENS, _UNSIGNED_INT,
+                                               "a positive integer", distinct=True))
+    return SetGenome._trusted(tuple(chromosomes))
+
+
+def _clean_set_chromosomes(text: str) -> list[frozenset[int]] | None:
+    """The chromosomes of a .set text of ASCII digits, spaces, tabs and
+    newlines, converted in one pass.  None when the text holds any other
+    character, or a line repeats a family or holds 0, a family past
+    MAX_FAMILY or a token too long for int(): the line walk then reads the
+    text and raises the diagnostic."""
+    if not _CLEAN_SET.match(text):
+        return None
+    chromosomes = []
+    for line in text.split("\n"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            c = frozenset(map(int, tokens))
+        except ValueError:
+            return None
+        if len(c) != len(tokens) or 0 in c or max(c) > MAX_FAMILY:
+            return None
+        chromosomes.append(c)
+    return chromosomes
 
 
 def parse_family_ids(text: str) -> list[int]:

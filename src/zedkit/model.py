@@ -11,8 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Union
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Union
 
 # Family ids are positive 32-bit integers; 0 is reserved as a terminator in
 # external formats.
@@ -21,7 +23,11 @@ MAX_FAMILY = 2**31 - 1
 
 @dataclass(frozen=True)
 class SeqGenome:
-    """Ordered sequence of signed genes (one chromosome)."""
+    """Ordered sequence of signed genes (one chromosome).
+
+    The derived views (families, occurrences) are built on first use and
+    kept on the genome; they never change after that.
+    """
 
     genes: tuple[int, ...]
 
@@ -38,6 +44,18 @@ class SeqGenome:
     def of(cls, *genes: int) -> "SeqGenome":
         return cls(tuple(genes))
 
+    @classmethod
+    def _trusted(cls, genes: tuple[int, ...]) -> "SeqGenome":
+        """The genome of a tuple of genes a parser has already checked,
+        built without checking them again."""
+        genome = object.__new__(cls)
+        object.__setattr__(genome, "genes", genes)
+        return genome
+
+    def __reduce__(self):
+        # the views are rebuilt on first use, not pickled
+        return type(self), (self.genes,)
+
     def __len__(self) -> int:
         return len(self.genes)
 
@@ -47,9 +65,14 @@ class SeqGenome:
     def __getitem__(self, index):
         return self.genes[index]
 
-    @property
+    @cached_property
     def families(self) -> frozenset[int]:
-        return frozenset(abs(g) for g in self.genes)
+        return frozenset(map(abs, self.genes))
+
+    @cached_property
+    def occurrences(self) -> Mapping[int, int]:
+        """Read-only family -> occurrences, ignoring sign."""
+        return MappingProxyType(Counter(map(abs, self.genes)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,7 +80,9 @@ class SetGenome:
     """Chromosomes as unordered sets of gene families.
 
     Chromosome order is preserved as read but carries no meaning: equality and
-    hashing compare the multiset of chromosomes.
+    hashing compare the multiset of chromosomes.  The derived views (hosts,
+    occurrences, ground_set) are built on first use and kept on the genome;
+    they never change after that, and every route reads the same ones.
     """
 
     chromosomes: tuple[frozenset[int], ...]
@@ -74,12 +99,37 @@ class SetGenome:
     def of(cls, *chromosomes: Iterable[int]) -> "SetGenome":
         return cls(tuple(frozenset(c) for c in chromosomes))
 
-    @property
+    @classmethod
+    def _trusted(cls, chromosomes: tuple[frozenset[int], ...]) -> "SetGenome":
+        """The genome of a tuple of chromosomes whose families a parser has
+        already checked, built without checking them again."""
+        genome = object.__new__(cls)
+        object.__setattr__(genome, "chromosomes", chromosomes)
+        return genome
+
+    def __reduce__(self):
+        # the views are rebuilt on first use, not pickled
+        return type(self), (self.chromosomes,)
+
+    @cached_property
+    def hosts(self) -> Mapping[int, tuple[int, ...]]:
+        """Read-only family -> indices of the chromosomes holding it, ascending."""
+        hosts: dict[int, tuple[int, ...]] = {}
+        for h, c in enumerate(self.chromosomes):
+            one = (h,)
+            for f in c:
+                earlier = hosts.get(f)
+                hosts[f] = one if earlier is None else earlier + one
+        return MappingProxyType(hosts)
+
+    @cached_property
+    def occurrences(self) -> Mapping[int, int]:
+        """Read-only family -> number of chromosomes holding it."""
+        return MappingProxyType(Counter(chain.from_iterable(self.chromosomes)))
+
+    @cached_property
     def ground_set(self) -> frozenset[int]:
-        out: set[int] = set()
-        for c in self.chromosomes:
-            out |= c
-        return frozenset(out)
+        return frozenset(self.occurrences)
 
     def total_genes(self) -> int:
         """Gene count summed over chromosomes (duplicates across chromosomes count)."""
@@ -134,10 +184,9 @@ class InstanceClass(Enum):
 
 
 def occurrence_profile(genome: Genome) -> Counter:
-    """Occurrences of each family across the whole genome, ignoring sign."""
-    if isinstance(genome, SeqGenome):
-        return Counter(map(abs, genome.genes))
-    return Counter(chain.from_iterable(genome.chromosomes))
+    """Occurrences of each family across the whole genome, ignoring sign: a
+    fresh Counter, which the caller may change."""
+    return Counter(genome.occurrences)
 
 
 def classify_instance(g1: Genome, g2: Genome) -> InstanceClass:
@@ -148,7 +197,7 @@ def classify_instance(g1: Genome, g2: Genome) -> InstanceClass:
     in which each genome duplicates some family is PER_GENE_SPECIAL when no
     family is duplicated in both genomes, and GENERAL otherwise.
     """
-    p1, p2 = occurrence_profile(g1), occurrence_profile(g2)
+    p1, p2 = g1.occurrences, g2.occurrences
     if p1.keys() != p2.keys():
         return InstanceClass.FAMILY_MISMATCH
     dup1 = {f for f, c in p1.items() if c > 1}

@@ -28,7 +28,6 @@ from .model import (
     SeqGenome,
     _subsequence_embeds,
     classify_instance,
-    occurrence_profile,
 )
 from .search import DEFAULT_TIMEOUT_S, backjump_search, deadline, timeout_error
 
@@ -201,7 +200,7 @@ def zed_one_side_duplicate_free(exemplar_side: SeqGenome, other: SeqGenome) -> S
     """Linear-time decision when one genome is already duplicate-free: the
     distance is zero iff both hold the same families and that genome embeds
     into the other."""
-    dup = sorted(f for f, c in occurrence_profile(exemplar_side).items() if c > 1)
+    dup = sorted(f for f, c in exemplar_side.occurrences.items() if c > 1)
     if dup:
         raise PreconditionViolatedError(f"exemplar side repeats families {dup[:5]}")
     if exemplar_side.families == other.families and is_subsequence(exemplar_side, other):
@@ -210,7 +209,7 @@ def zed_one_side_duplicate_free(exemplar_side: SeqGenome, other: SeqGenome) -> S
 
 
 def _check_mandatory_special(a: SeqGenome, b: SeqGenome, alphabet: Alphabet) -> None:
-    pa, pb = occurrence_profile(a), occurrence_profile(b)
+    pa, pb = a.occurrences, b.occurrences
     bad = sorted(f for f in alphabet.mandatory if pa.get(f, 0) >= 2 and pb.get(f, 0) >= 2)
     if bad:
         raise PreconditionViolatedError(

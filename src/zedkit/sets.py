@@ -67,19 +67,11 @@ class SetDecision:
     witness_permutation: tuple[int, ...] | None = None
 
 
-def _hosts_of_genes(chromosomes: tuple[frozenset[int], ...]) -> dict[int, list[int]]:
-    """Gene -> indices of the chromosomes holding it, in increasing order."""
-    hosts: dict[int, list[int]] = {}
-    for h, c in enumerate(chromosomes):
-        for f in c:
-            hosts.setdefault(f, []).append(h)
-    return hosts
-
-
 def build_intersection_graph(g1: SetGenome, g2: SetGenome) -> IntersectionGraph:
-    """The non-empty chromosome intersections, built through a gene ->
-    chromosome index of g2: O(sum over genes of occ1 * occ2) work."""
-    hosts = _hosts_of_genes(g2.chromosomes)
+    """The non-empty chromosome intersections, built through g2's gene ->
+    chromosome index (the genome builds it once and every route shares it):
+    O(sum over genes of occ1 * occ2) work."""
+    hosts = g2.hosts
     reduced: dict[tuple[int, int], frozenset[int]] = {}
     for i, c in enumerate(g1.chromosomes):
         row: dict[int, list[int]] = {}
@@ -96,9 +88,9 @@ def max_weight_bipartite_matching(graph: IntersectionGraph) -> Matching:
     if graph.left_size == 0 or graph.right_size == 0:
         return Matching(frozenset(), 0)
     w = np.zeros((graph.left_size, graph.right_size), dtype=np.int64)
-    if graph.reduced:
-        ij = np.array(list(graph.reduced), dtype=np.intp)
-        w[ij[:, 0], ij[:, 1]] = [len(c) for c in graph.reduced.values()]
+    n = len(graph.reduced)
+    ij = np.fromiter(itertools.chain.from_iterable(graph.reduced), np.intp, 2 * n)
+    w[ij[0::2], ij[1::2]] = np.fromiter(map(len, graph.reduced.values()), np.int64, n)
     rows, cols = linear_sum_assignment(w, maximize=True)
     picked = w[rows, cols]
     used = picked > 0
@@ -125,7 +117,8 @@ def _matching_decision(g1: SetGenome, g2: SetGenome, cls: InstanceClass) -> SetD
         return SetDecision(False)
     graph = build_intersection_graph(g1, g2)
     matching = max_weight_bipartite_matching(graph)
-    if matching.total_weight != len(g1.ground_set | g2.ground_set):
+    # both genomes hold the same families, as cls is no FAMILY_MISMATCH
+    if matching.total_weight != len(g1.ground_set):
         return SetDecision(False, witness_matching=matching)
     cert = SetGenome(tuple(graph.reduced[p] for p in sorted(matching.pairs)))
     return SetDecision(True, cert, witness_matching=matching)
@@ -276,33 +269,35 @@ def solve_set(
     return route, zed_set_exact(g1, g2, timeout_s=timeout_s)
 
 
-def _embeds_injectively(
-    blocks: tuple[frozenset[int], ...], hosts: tuple[frozenset[int], ...]
-) -> bool:
-    """Each block must be a subset of a distinct host chromosome.
+def _embeds_injectively(blocks: tuple[frozenset[int], ...], genome: SetGenome) -> bool:
+    """Each block must be a subset of a distinct chromosome of genome, which
+    holds every gene of the blocks.
 
     A non-empty block's candidate hosts are those holding its rarest gene
     that also pass the subset test; the blocks embed iff a maximum bipartite
     matching (Hopcroft-Karp) covers every non-empty block and enough hosts are
     left over for the empty ones."""
-    if len(blocks) > len(hosts):
+    chromosomes = genome.chromosomes
+    if len(blocks) > len(chromosomes):
         return False
-    where = _hosts_of_genes(hosts)
+    hosts = genome.hosts
     adj = []  # the candidate hosts of each non-empty block
     for b in blocks:
         if b:
-            rare = where.get(min(b, key=lambda f: len(where.get(f, ()))), ())
-            adj.append([h for h in rare if b <= hosts[h]])
+            rare = min([hosts[f] for f in b], key=len)
+            adj.append([h for h in rare if b <= chromosomes[h]])
     indices = [h for row in adj for h in row]
     indptr = np.cumsum([0, *map(len, adj)])
     edges = np.ones(len(indices), dtype=np.int8)
-    graph = csr_array((edges, indices, indptr), shape=(len(adj), len(hosts)))
+    graph = csr_array((edges, indices, indptr), shape=(len(adj), len(chromosomes)))
     return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
 
 
 def verify_set_certificate(g1: SetGenome, g2: SetGenome, cert: SetGenome) -> CertificateCheck:
     """Check that cert partitions the common ground set and embeds, block by
-    block and injectively, into the chromosomes of each input genome."""
+    block and injectively, into the chromosomes of each input genome.  Each
+    genome's gene -> chromosome index is built once and shared with the
+    solvers that read it."""
     ground = g1.ground_set | g2.ground_set
     seen: set[int] = set()
     for c in cert.chromosomes:
@@ -311,8 +306,9 @@ def verify_set_certificate(g1: SetGenome, g2: SetGenome, cert: SetGenome) -> Cer
         seen |= c
     if seen != ground:
         return CertificateCheck(False, NOT_PARTITION)
-    if not _embeds_injectively(cert.chromosomes, g1.chromosomes):
+    # a gene that a genome lacks leaves its block no host there
+    if len(g1.ground_set) < len(ground) or not _embeds_injectively(cert.chromosomes, g1):
         return CertificateCheck(False, NO_EMBEDDING_IN_G1)
-    if not _embeds_injectively(cert.chromosomes, g2.chromosomes):
+    if len(g2.ground_set) < len(ground) or not _embeds_injectively(cert.chromosomes, g2):
         return CertificateCheck(False, NO_EMBEDDING_IN_G2)
     return CertificateCheck(True)

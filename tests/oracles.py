@@ -159,6 +159,24 @@ def embeds_injectively(blocks, hosts) -> bool:
     )
 
 
+def seq_genome_views(genes) -> dict:
+    """The derived views of an ordered genome (a list of signed genes), by
+    one plain count: view name -> value."""
+    occurrences = {}
+    for g in genes:
+        occurrences[abs(g)] = occurrences.get(abs(g), 0) + 1
+    return {"families": set(occurrences), "occurrences": occurrences}
+
+
+def set_genome_views(chromosomes) -> dict:
+    """The derived views of an unordered genome (a list of gene sets), by
+    testing every family against every chromosome: view name -> value."""
+    ground = {f for c in chromosomes for f in c}
+    hosts = {f: tuple(h for h, c in enumerate(chromosomes) if f in c) for f in ground}
+    occurrences = {f: len(h) for f, h in hosts.items()}
+    return {"hosts": hosts, "occurrences": occurrences, "ground_set": ground}
+
+
 def set_certificate_fault(g1, g2, cert) -> str | None:
     """None when cert (a list of gene sets) partitions the ground set of the
     chromosome lists g1 and g2 and embeds injectively into both; otherwise

@@ -15,6 +15,7 @@ from zedkit.formats import (
     MALFORMED_TOKEN,
     VAR_OUT_OF_RANGE,
     ZERO_GENE,
+    _clean_set_chromosomes,
     emit_dimacs3,
     emit_name_table,
     emit_seq_genome,
@@ -252,15 +253,58 @@ genome_inputs = st.one_of(
 )
 
 
-@pytest.mark.parametrize("parse, ordered", [(parse_seq_genome, True), (parse_set_genome, False)])
-@given(data=genome_inputs)
-@settings(max_examples=300)
-def test_genome_parsers_match_the_reference_parser(parse, ordered, data):
-    expected = oracles.parse_genome_reference(data, ordered)
+def _outcome(parse, data, ordered: bool):
+    """What parse makes of data, in parse_genome_reference's terms."""
     try:
         genome = parse(data)
     except ParseError as err:
         d = err.diagnostic
-        assert (d.line, d.column, d.code) == expected
-    else:
-        assert (genome.genes if ordered else genome.chromosomes) == expected
+        return (d.line, d.column, d.code)
+    return genome.genes if ordered else genome.chromosomes
+
+
+@pytest.mark.parametrize("parse, ordered", [(parse_seq_genome, True), (parse_set_genome, False)])
+@given(data=genome_inputs)
+@settings(max_examples=300)
+def test_genome_parsers_match_the_reference_parser(parse, ordered, data):
+    assert _outcome(parse, data, ordered) == oracles.parse_genome_reference(data, ordered)
+
+
+# .set texts for both readers of parse_set_genome, as (text, whether the
+# one-pass conversion takes it).  Lines of ASCII digits, spaces and tabs are
+# converted in one pass; a comment, a "-" line, "\r\n" line breaks, a repeated
+# family, a 0 or an 11-digit token on the last line send the text to the
+# line walk.
+set_rows = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(["1", "2", "3", "45", "7", "2147483647", "0000000006"]),
+                 min_size=1, max_size=4, unique=True),
+        st.sampled_from([" ", "\t", "  ", " \t"]),
+    ).map(lambda t: t[1].join(t[0])),
+    min_size=1, max_size=4,
+)
+WALK_TRIGGERS = {
+    None: lambda rows, at: rows,
+    "comment": lambda rows, at: rows[:at] + ["# note 0 x"] + rows[at:],
+    "dash": lambda rows, at: rows[:at] + [" - "] + rows[at:],
+    "crlf": lambda rows, at: [row + "\r" for row in rows],
+    "repeat": lambda rows, at: rows[:-1] + [rows[-1] + " " + rows[-1].split()[0]],
+    "zero": lambda rows, at: rows[:at] + [rows[at % len(rows)] + " 0"] + rows[at + 1:],
+    "eleven": lambda rows, at: rows[:-1] + [rows[-1] + " 21474836470"],
+}
+set_texts = st.tuples(
+    set_rows, st.sampled_from(list(WALK_TRIGGERS)), st.integers(0, 3), st.sampled_from(["", "\n"])
+).map(lambda t: ("\n".join(WALK_TRIGGERS[t[1]](t[0], t[2])) + t[3], t[1] is None))
+
+
+@given(case=set_texts)
+@settings(max_examples=300)
+def test_both_set_parser_paths_match_the_reference_parser(case):
+    text, one_pass = case
+    assert (_clean_set_chromosomes(text) is not None) == one_pass
+    expected = oracles.parse_genome_reference(text, False)
+    assert _outcome(parse_set_genome, text, False) == expected
+    # the same lines with "\r\n" breaks, which always take the line walk
+    crlf = text.replace("\r\n", "\n").replace("\n", "\r\n") + "\r\n"
+    assert _clean_set_chromosomes(crlf) is None
+    assert _outcome(parse_set_genome, crlf, False) == expected

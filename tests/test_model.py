@@ -1,7 +1,11 @@
+import pickle
+from collections.abc import Mapping
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from worked_examples import SEQ_CERT, SEQ_G1, SEQ_G2, SET_G1, SET_G2
 from zedkit import (
     InstanceClass,
@@ -14,6 +18,7 @@ from zedkit import (
     verify_seq_certificate,
 )
 from zedkit import seq, sets
+from zedkit.formats import parse_seq_genome, parse_set_genome
 from zedkit.model import (
     DUPLICATE_FAMILY,
     MISSING_FAMILY,
@@ -24,6 +29,8 @@ signed_genes = st.builds(
     lambda f, s: f * s, st.integers(1, 12), st.sampled_from([1, -1])
 )
 seq_genomes = st.lists(signed_genes, max_size=14).map(lambda l: SeqGenome(tuple(l)))
+chromosome_lists = st.lists(st.sets(st.integers(1, 9), max_size=5), max_size=6)
+set_genomes = chromosome_lists.map(lambda l: SetGenome.of(*l))
 
 
 def test_genome_rejects_zero_and_oversized():
@@ -33,6 +40,72 @@ def test_genome_rejects_zero_and_oversized():
         SeqGenome.of(2**31)
     with pytest.raises(ValueError):
         SetGenome.of({0, 1})
+
+
+@pytest.mark.parametrize(
+    "build, genes",
+    [(SeqGenome, ((1, 0),)), (SeqGenome.of, (0,)), (SeqGenome, ((2**31,),)),
+     (SeqGenome.of, (3, -(2**31))), (SetGenome, ((frozenset({0}),),)), (SetGenome.of, ({2**31},)),
+     (SetGenome, ((frozenset({1}), frozenset({-1})),)), (SetGenome.of, ({2}, {-3, 4}))],
+    ids=["seq-0", "seq.of-0", "seq-2^31", "seq.of-minus-2^31", "set-0", "set.of-2^31",
+         "set-negative", "set.of-negative"],
+)
+def test_public_constructors_check_every_gene(build, genes):
+    # only the parsers, which have checked their genes, skip the check
+    with pytest.raises(ValueError):
+        build(*genes)
+
+
+def _plain(view):
+    return dict(view) if isinstance(view, Mapping) else view
+
+
+@given(st.lists(signed_genes, min_size=1, max_size=14), st.sampled_from([" ", "\t", "\n", " \n "]))
+def test_seq_views_match_the_reference(genes, sep):
+    built = SeqGenome(tuple(genes))
+    parsed = parse_seq_genome(sep.join(map(str, genes)))
+    assert parsed == built and hash(parsed) == hash(built)
+    expected = oracles.seq_genome_views(genes)
+    for g in (built, parsed):
+        for name, value in expected.items():
+            view = getattr(g, name)
+            assert getattr(g, name) is view  # built once
+            assert _plain(view) == value
+
+
+@given(chromosome_lists)
+def test_set_views_match_the_reference(chroms):
+    built = SetGenome.of(*chroms)
+    # an empty chromosome is a "-" line, which the parser's line walk reads
+    parsed = parse_set_genome("\n".join(" ".join(map(str, c)) or "-" for c in chroms))
+    assert parsed == built and hash(parsed) == hash(built)
+    assert parsed.chromosomes == built.chromosomes
+    expected = oracles.set_genome_views(chroms)
+    for g in (built, parsed):
+        for name, value in expected.items():
+            view = getattr(g, name)
+            assert getattr(g, name) is view  # built once
+            assert _plain(view) == value
+
+
+def test_views_are_read_only_and_not_pickled():
+    s, g = SeqGenome.of(1, -1, 2), SetGenome.of({1, 2}, {2})
+    for view in (s.occurrences, g.occurrences, g.hosts):
+        with pytest.raises(TypeError):
+            view[1] = 5
+    assert isinstance(s.families, frozenset) and isinstance(g.ground_set, frozenset)
+    for genome in (s, g):
+        copy = pickle.loads(pickle.dumps(genome))
+        assert copy == genome and "occurrences" not in vars(copy)
+
+
+@given(st.one_of(st.tuples(seq_genomes, seq_genomes), st.tuples(set_genomes, set_genomes)))
+def test_changing_a_returned_profile_changes_no_later_answer(pair):
+    before = classify_instance(*pair)
+    for genome in pair:
+        profile = occurrence_profile(genome)
+        profile.update(dict.fromkeys([*profile, 99], 2))  # duplicate every family, add one
+    assert classify_instance(*pair) is before
 
 
 def test_set_genome_equality_ignores_chromosome_order():
