@@ -376,9 +376,13 @@ def _bench_scenarios():
     # refutes; in the 830-gene one each binding picks the next item among
     # hundreds of pending ones
     w1, w2, _ = reduce_3sat_to_set_zed(random_cnf(1, 12, 60, distinct_vars=True))
-    yield "set reduction UNSAT n=12 m=60", 1.3, lambda: _verdict(zed_set_exact(w1, w2)), "NO"
+    yield "set reduction UNSAT n=12 m=60", 0.31, lambda: _verdict(zed_set_exact(w1, w2)), "NO"
     v1, v2, _ = reduce_3sat_to_set_zed(random_cnf(2, 20, 90, distinct_vars=True))
-    yield "set reduction UNSAT n=20 m=90", 6.0, lambda: _verdict(zed_set_exact(v1, v2)), "NO"
+    yield "set reduction UNSAT n=20 m=90", 0.61, lambda: _verdict(zed_set_exact(v1, v2)), "NO"
+    # 1660 genes: forward checking alone runs past the default 120 s budget;
+    # arc revision refutes it after about 5000 candidates
+    x1, x2, _ = reduce_3sat_to_set_zed(random_cnf(0, 40, 180, distinct_vars=True))
+    yield "set reduction UNSAT n=40 m=180", 5.2, lambda: _verdict(zed_set_exact(x1, x2)), "NO"
 
 
 def _cmd_bench(args) -> int:

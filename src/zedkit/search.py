@@ -1,5 +1,6 @@
 """The forward-checking backjump search that both exact solvers run on
-their own domains and compatibility filters."""
+their own domains and compatibility filters, with arc revision for the
+solvers that can test support cheaply."""
 
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ def backjump_search(
     keep: Callable[[C, D], D],
     timeout_s: float,
     touches: Callable[[C], Sequence[int]],
+    revise: Callable[[D], Callable[[D], D]] | None = None,
 ) -> list[C] | None:
     """One candidate per item, pairwise compatible, or None when none exists.
 
@@ -76,6 +78,29 @@ def backjump_search(
     it would outgrow twice the items plus the undo trail, so the selection
     state is O(items + trail) at every point, inside one frame's candidate
     loop too.
+
+    revise, when given, maintains arc consistency as well (Mackworth 1977,
+    AC-3; Sabin & Freuder 1994, MAC).  revise(live) returns a filter that
+    keeps the candidates of a domain that have a compatible candidate in
+    live.  Four rules:
+    - Revision starts at the search's first refuted candidate, so a search
+      that never refutes one does forward checking's work and no more.
+    - After each accepted binding it walks the items shrunk since the
+      binding, in trail order, shrinks made meanwhile joining the end.  Each
+      item y whose live size changed since it was last walked filters, in
+      ascending order, the pending items z that touches(d) lists for every
+      live candidate d of y: a d that does not touch z supports every
+      candidate of z.  The fixed order makes runs repeat exactly.
+    - A candidate it removes from z is charged to all of y's pruners, the
+      bindings that shrank y, which z gains as one frozen set (MAC with
+      conflict-directed backjumping, Prosser 1995).  Charging only the
+      current binding would backjump over live alternatives.
+    - A domain it wipes out refutes the binding, as one wiped out by keep
+      does.
+    Each shrink adds one trail entry and one pruner entry: a binding, or a
+    frozen set of bound items built once per walked item and shared by every
+    item it cut.  So the state stays O(items + trail) entries, the selection
+    state included.
     """
     n = len(domains)
     stop = deadline(timeout_s)
@@ -83,7 +108,9 @@ def backjump_search(
     if 0 in sizes:
         return None
     live = list(domains)
-    pruners: list[list[int]] = [[] for _ in range(n)]
+    # the bindings that shrank each item, and frozen sets of them that arc
+    # revision passed on; one entry per trail entry of the item
+    pruners: list[list[int | frozenset[int]]] = [[] for _ in range(n)]
     # undo trail: (item, its live candidates and their count before a shrink)
     trail: list[tuple[int, D, int]] = []
     chosen: list = [None] * n
@@ -92,6 +119,7 @@ def backjump_search(
     # set, the trail length before its binding); the items not bound are the
     # pending ones
     stack: list[tuple[int, Iterator[C], set[int], int]] = []
+    armed = False  # arc revision runs from the first refuted candidate on
 
     # selection keys: y for an item y of one live candidate, else
     # size * step + base[y], where base[y] < step orders by larger degree,
@@ -109,6 +137,56 @@ def backjump_search(
             y, live[y], sizes[y] = trail.pop()
             pruners[y].pop()
 
+    def blamed(y: int) -> set[int]:
+        # y's pruners: bindings, and the frozen sets of them that arc
+        # revision passed on to y
+        out: set[int] = set()
+        for p in pruners[y]:
+            if type(p) is int:
+                out.add(p)
+            else:
+                out.update(p)
+        return out
+
+    def propagate(mark: int, conflict: set[int]) -> bool:
+        # arc revision after the binding that started the trail at mark;
+        # False on a wipe-out, whose pruners join conflict
+        walked: dict[int, int] = {}  # item -> its size when last walked
+        k = mark
+        while k < len(trail):
+            y = trail[k][0]
+            k += 1
+            if walked.get(y) == sizes[y]:
+                continue
+            walked[y] = sizes[y]
+            # the pending items that every live candidate of y touches: only
+            # they can lose support in y
+            cands = iter(live[y])
+            near = [z for z in touches(next(cands)) if not bound[z] and z != y]
+            for d in cands:
+                if not near:
+                    break
+                other = set(touches(d))
+                near = [z for z in near if z in other]
+            if not near:
+                continue
+            supported = revise(live[y])
+            blame = None
+            for z in near:
+                after = supported(live[z])
+                size = len(after)
+                if size < sizes[z]:
+                    if blame is None:
+                        blame = frozenset(blamed(y))
+                    trail.append((z, live[z], sizes[z]))
+                    live[z] = after
+                    sizes[z] = size
+                    pruners[z].append(blame)
+                    if not size:
+                        conflict.update(blamed(z))
+                        return False
+        return True
+
     descend = True
     while True:
         if descend:  # bind the next item
@@ -125,7 +203,8 @@ def backjump_search(
                 if key == (pick if size == 1 else size * step + base[pick]):
                     break
             bound[pick] = True
-            stack.append((pick, iter(live[pick]), set(pruners[pick]), len(trail)))
+            conflict = blamed(pick) if armed else set(pruners[pick])
+            stack.append((pick, iter(live[pick]), conflict, len(trail)))
         pick, cands, conflict, mark = stack[-1]
         descend = False
         for c in cands:
@@ -141,14 +220,19 @@ def backjump_search(
                     sizes[y] = size
                     pruners[y].append(pick)
                     if not size:
-                        conflict.update(pruners[y])
+                        conflict.update(blamed(y) if armed else pruners[y])
                         break
-            else:
-                descend = True  # no domain wiped out
-                break
+            else:  # no domain wiped out
+                if not armed or propagate(mark, conflict):
+                    descend = True
+                    break
             undo(mark)
+            armed = revise is not None
         if descend:  # the items the binding shrank rank by their new sizes
-            for y, _, _ in trail[mark:]:
+            shrunk = trail[mark:]
+            if armed:  # arc revision can shrink an item more than once
+                shrunk = {e[0]: e for e in shrunk}.values()
+            for y, _, _ in shrunk:
                 size = sizes[y]
                 heappush(heap, y if size == 1 else size * step + base[y])
         else:

@@ -16,6 +16,7 @@ from .formats import emit_seq_genome, emit_set_genome, parse_seq_genome, parse_s
 from .generate import SplitMix64, random_cnf, random_seq_pair, random_set_pair
 from .model import MAX_FAMILY, Alphabet, SeqGenome, SetGenome, verify_seq_certificate
 from .sat import (
+    CnfFormula,
     assignment_from_seq_certificate,
     assignment_from_set_certificate,
     brute_force_sat,
@@ -110,9 +111,16 @@ def _parse_round_trip(seed: int) -> str | None:
     return None
 
 
-def _sat_vs_seq_zed(seed: int) -> str | None:
+def _sat_formula(seed: int, *, distinct_vars: bool) -> CnfFormula:
+    """A random 3-CNF over n = 3..5 variables with 2n..6n clauses, so that
+    both verdicts come up: 15-20 of the first 100 seeds are unsatisfiable."""
     rng = SplitMix64(seed)
-    phi = random_cnf(rng.next64(), rng.randint(1, 3), rng.randint(0, 2))
+    n = rng.randint(3, 5)
+    return random_cnf(rng.next64(), n, rng.randint(2 * n, 6 * n), distinct_vars=distinct_vars)
+
+
+def _sat_vs_seq_zed(seed: int) -> str | None:
+    phi = _sat_formula(seed, distinct_vars=False)
     satisfiable = brute_force_sat(phi) is not None
     g1, g2, _ = reduce_3sat_to_seq_zed(phi)
     dec = zed_seq_exact(g1, g2)
@@ -126,8 +134,7 @@ def _sat_vs_seq_zed(seed: int) -> str | None:
 
 
 def _sat_vs_set_zed(seed: int) -> str | None:
-    rng = SplitMix64(seed)
-    phi = random_cnf(rng.next64(), 3, rng.randint(0, 2), distinct_vars=True)
+    phi = _sat_formula(seed, distinct_vars=True)
     satisfiable = brute_force_sat(phi) is not None
     g1, g2, _ = reduce_3sat_to_set_zed(phi)
     dec = zed_set_exact(g1, g2)
@@ -159,6 +166,8 @@ def _set_fpt_vs_exact(seed: int) -> str | None:
     c = zed_set_exact(g1, g2)
     if b.answer != c.answer:
         return f"fpt={b.answer} exact={c.answer}"
+    if c.answer and not verify_set_certificate(g1, g2, c.certificate):
+        return "exact certificate rejected"
     return None
 
 

@@ -175,6 +175,27 @@ def _disjoint_pairs(c: tuple[int, int], cands: list[tuple[int, int]]) -> list[tu
     return [d for d in cands if (i == d[0]) == (j == d[1])]
 
 
+def _supported_by(live: list[tuple[int, int]]):
+    """The arc revision filter: it keeps the pairs with a compatible pair in
+    live.  One live pair filters as _disjoint_pairs does.  Otherwise a pair
+    (i, j) not in live conflicts with exactly the rows[i] + cols[j] pairs of
+    live that share one of its indices, so it is supported iff live has more."""
+    if len(live) == 1:
+        return functools.partial(_disjoint_pairs, live[0])
+    have = set(live)
+    rows: dict[int, int] = {}
+    cols: dict[int, int] = {}
+    for i, j in live:
+        rows[i] = rows.get(i, 0) + 1
+        cols[j] = cols.get(j, 0) + 1
+    n = len(live)
+
+    def supported(cands: list[tuple[int, int]]) -> list[tuple[int, int]]:
+        return [d for d in cands if d in have or n > rows.get(d[0], 0) + cols.get(d[1], 0)]
+
+    return supported
+
+
 def _search_inputs(g1: SetGenome, g2: SetGenome, graph: IntersectionGraph):
     """The genes in increasing order and, for backjump_search over them (item
     x is genes[x]), their domains, degrees and touches; None when some gene
@@ -216,15 +237,20 @@ def zed_set_exact(
     chromosome index shared between different pairs).  Solved by the
     forward-checking backjump search shared with the ordered solver, trying
     pairs in (i, j) order; binding a pair filters only the genes that share a
-    chromosome with it.  Raises SearchTimeoutError when the wall budget runs
-    out, which is reported distinctly from a NO answer.
+    chromosome with it.  From the first refuted pair on, the search also
+    revises arcs between pending genes through _supported_by, so that two
+    genes whose live pairs cannot agree show the conflict before either is
+    bound.  Raises SearchTimeoutError when the wall budget runs out, which is
+    reported distinctly from a NO answer.
     """
     graph = build_intersection_graph(g1, g2)
     inputs = _search_inputs(g1, g2, graph)
     if inputs is None:
         return SetDecision(False)
     genes, domains, degree, touches = inputs
-    chosen = backjump_search(domains, degree, _disjoint_pairs, timeout_s, touches)
+    chosen = backjump_search(
+        domains, degree, _disjoint_pairs, timeout_s, touches, _supported_by
+    )
     if chosen is None:
         return SetDecision(False)
     groups: dict[tuple[int, int], set[int]] = {}

@@ -253,25 +253,59 @@ def parse_genome_reference(data, ordered: bool):
     return tuple(genes) if genes else (1, 1, "EmptyInput")
 
 
-def backjump_reference(domains, degree, keep, touches):
+def backjump_reference(domains, degree, keep, touches, revise=None):
     """The forward-checking backjump search that picks its next item by
     scanning every pending item: the first with one live candidate, else the
     fewest live candidates, then the larger degree, then the smaller index.
     One candidate per item as a list, or None; same arguments as
-    zedkit.search.backjump_search without its clock."""
+    zedkit.search.backjump_search without its clock.
+
+    With revise, once some candidate has been refuted, each accepted binding
+    is followed by arc revision: the items shrunk since the binding are taken
+    in the order of their shrinks, new shrinks joining the end, and each one
+    whose live size changed since it was last taken has every other pending
+    item, in ascending order, cut to revise(its live candidates).  A cut is
+    charged to all of the taken item's pruners; an item cut to nothing
+    refutes the binding."""
     n = len(domains)
     live = list(domains)
     sizes = [len(d) for d in domains]
     pruners = [[] for _ in range(n)]
-    trail = []  # (item, live candidates, size) before each shrink
+    trail = []  # (item, live candidates, size, pruners added) before each shrink
     chosen = [None] * n
     bound = [False] * n
     stack = []  # (item, items pending under it, untried candidates, conflict set, trail mark)
+    refuted = False
+
+    def shrink(y, after, charged):
+        trail.append((y, live[y], sizes[y], len(charged)))
+        live[y], sizes[y] = after, len(after)
+        pruners[y].extend(charged)
 
     def undo(mark):
         while len(trail) > mark:
-            y, live[y], sizes[y] = trail.pop()
-            pruners[y].pop()
+            y, live[y], sizes[y], added = trail.pop()
+            del pruners[y][len(pruners[y]) - added:]
+
+    def revised_without_wipeout(mark, conflict):
+        queue = [entry[0] for entry in trail[mark:]]
+        taken = {}
+        for y in queue:  # grows while it is walked
+            if taken.get(y) == sizes[y]:
+                continue
+            taken[y] = sizes[y]
+            supported = revise(live[y])
+            for z in range(n):
+                if z == y or bound[z]:
+                    continue
+                after = supported(live[z])
+                if len(after) < sizes[z]:
+                    shrink(z, after, sorted(set(pruners[y])))
+                    queue.append(z)
+                    if not after:
+                        conflict.update(pruners[z])
+                        return False
+        return True
 
     pending = list(range(n))
     while True:
@@ -299,16 +333,16 @@ def backjump_reference(domains, degree, keep, touches):
                     continue
                 after = keep(c, live[y])
                 if len(after) < sizes[y]:
-                    trail.append((y, live[y], sizes[y]))
-                    live[y], sizes[y] = after, len(after)
-                    pruners[y].append(pick)
+                    shrink(y, after, [pick])
                     if not after:
                         conflict.update(pruners[y])
                         wiped = True
                         break
-            if not wiped:
+            if not wiped and (not refuted or revise is None
+                              or revised_without_wipeout(mark, conflict)):
                 pending = rest
                 break
+            refuted = True
             undo(mark)
         if pending is None:
             conflict.discard(pick)

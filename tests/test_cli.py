@@ -362,6 +362,17 @@ def test_selftest_zero_budget_exhausts():
     assert main(["selftest", "--budget", "0"]) == 4
 
 
+@pytest.mark.parametrize("distinct_vars", [False, True])
+def test_selftest_sat_suites_meet_both_verdicts(distinct_vars):
+    # sat-vs-seq-zed and sat-vs-set-zed draw their formulas here; a suite
+    # that met no unsatisfiable formula would never check a NO
+    verdicts = {
+        zedkit.brute_force_sat(selftest._sat_formula(seed, distinct_vars=distinct_vars)) is None
+        for seed in range(selftest.BASE_SEED, selftest.BASE_SEED + 100)
+    }
+    assert verdicts == {False, True}
+
+
 def test_selftest_small_run(capsys):
     assert main(["selftest", "--budget", "60", "--cases", "6", "--min-cases", "3"]) == 0
     out = capsys.readouterr().out

@@ -211,6 +211,46 @@ def test_seq_reductions_past_brute_force_agree_with_dpll(seed):
         assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
 
 
+@pytest.mark.parametrize("n_vars", [4, 5, 6])
+def test_set_reductions_agree_with_brute_force(n_vars):
+    """Random formulas near the threshold, both verdicts: the exact search
+    answers as brute_force_sat does, and every YES certificate verifies.  A
+    search that charged the candidates that arc revision removes only to the
+    current binding, not to the pruners of the item revised against, answers
+    NO here on satisfiable formulas."""
+    verdicts = set()
+    for seed in range(40):
+        phi = random_cnf(seed, n_vars, round(4.3 * n_vars), distinct_vars=True)
+        g1, g2, _ = reduce_3sat_to_set_zed(phi)
+        dec = zed_set_exact(g1, g2)
+        satisfiable = brute_force_sat(phi) is not None
+        assert dec.answer == satisfiable, seed
+        if dec.answer:
+            assert verify_set_certificate(g1, g2, dec.certificate).ok
+        verdicts.add(satisfiable)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("n_vars, n_clauses, seed, satisfiable", [
+    (24, 110, 2, False),
+    (30, 135, 0, False),
+    (30, 135, 1, True),
+    (40, 180, 0, False),
+    (40, 180, 1, False),
+])
+def test_set_reductions_past_brute_force_agree_with_dpll(n_vars, n_clauses, seed, satisfiable):
+    """Where brute_force_sat is too slow to run (it takes minutes on the
+    n=24 formula), oracles.dpll_sat gives the verdict."""
+    phi = random_cnf(seed, n_vars, n_clauses, distinct_vars=True)
+    assert (oracles.dpll_sat(phi.n_vars, dimacs(phi))[0] is not None) == satisfiable
+    g1, g2, _ = reduce_3sat_to_set_zed(phi)
+    dec = zed_set_exact(g1, g2)
+    assert dec.answer == satisfiable
+    if dec.answer:
+        assert verify_set_certificate(g1, g2, dec.certificate).ok
+        assert eval_assignment(phi, assignment_from_set_certificate(phi, dec.certificate))
+
+
 def test_set_reduction_matches_golden_files(data_dir):
     g1, g2, table = reduce_3sat_to_set_zed(TWO_CLAUSE_FORMULA)
     assert g1.total_genes() == 34  # n + 15m

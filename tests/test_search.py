@@ -1,7 +1,8 @@
 """The shared backjump search: it makes the same keep calls, in the same
 order, as the reference kernel that picks each item by scanning every pending
-one (`oracles.backjump_reference`), and its selection state does not grow
-with the candidates one frame refutes.  In both genome models, filtering only
+one (`oracles.backjump_reference`), and with arc revision also the same
+shrinks; its selection state does not grow with the candidates one frame
+refutes.  In both genome models, filtering only
 the items a binding touches (for the ordered model, the families with a pair
 that crosses it) leaves the search step for step the same as filtering every
 item.  No search recurses: none changes the recursion limit, concurrent
@@ -58,9 +59,28 @@ def colouring(edges, n_items, n_colours):
     return domains, degree, keep, touches
 
 
+def colouring_revise(edges):
+    """The arc revision of colouring(edges, ...): a candidate (x, k) keeps
+    support from item y while y has a live colour other than k, or x and y
+    are not neighbours."""
+    near = {}
+    for a, b in edges:
+        near.setdefault(a, set()).add(b)
+        near.setdefault(b, set()).add(a)
+
+    def revise(live_y):
+        def supported(live_z):
+            return [d for d in live_z
+                    if any(e[1] != d[1] or e[0] not in near.get(d[0], ()) for e in live_y)]
+        return supported
+
+    return revise
+
+
 class Recorder:
     """keep wrapped to log (c, len(live), len(after)) of every call; shrinks
-    holds the entries of the calls that shrank a domain."""
+    holds the entries of the calls that shrank a domain, and those of the
+    revise filters that revising() wraps."""
 
     def __init__(self, keep):
         self.keep = keep
@@ -80,15 +100,31 @@ class Recorder:
             self.shrinks.append(self.log[-1])
         return after
 
+    def revising(self, revise):
+        """revise wrapped so that each of its filters logs a call that shrinks
+        a domain as (the live candidates revised against, before, after)."""
+        def wrapped(live_y):
+            supported = revise(live_y)
 
-def assert_reference_trace(domains, degree, keep, touches):
+            def filtered(live_z):
+                after = supported(live_z)
+                if len(after) < len(live_z):
+                    self.shrinks.append((tuple(live_y), tuple(live_z), tuple(after)))
+                return after
+            return filtered
+        return wrapped
+
+
+def assert_reference_trace(domains, degree, keep, touches, revise=None):
     """The kernel and the reference give the same answer after the same keep
-    calls."""
+    calls and the same shrinks; returns the kernel's shrinks."""
     runs = []
     for search in colour, oracles.backjump_reference:
         rec = Recorder(keep)
-        runs.append((search(domains, degree, rec, touches), rec.log))
+        extra = () if revise is None else (rec.revising(revise),)
+        runs.append((search(domains, degree, rec, touches, *extra), rec.log, rec.shrinks))
     assert runs[0] == runs[1]
+    return runs[0][2]
 
 
 @st.composite
@@ -121,6 +157,43 @@ def test_kernel_keeps_the_reference_trace_on_colourings(case):
         assert rec.log == []
     else:
         assert_reference_trace(domains, degree, keep, touches)
+
+
+@given(colourings())
+@settings(max_examples=300, deadline=None)
+# K4 plus a path in three colours (NO): the first refuted candidate arms
+# revision, whose wipe-outs then refute the candidates left
+@example(([[0, 1, 2]] * 6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5)],
+          [3, 3, 3, 4, 2, 1]))
+# a colourable graph (YES) whose search meets a revision wipe-out on the way
+@example(([[0, 1, 2]] * 6, [(0, 4), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4)],
+          [0] * 6))
+def test_kernel_keeps_the_reference_trace_with_revise_on_colourings(case):
+    allowed, edges, degree = case
+    _, _, keep, touches = colouring(edges, len(allowed), 3)
+    revise = colouring_revise(edges)
+    domains = [[(x, k) for k in ks] for x, ks in enumerate(allowed)]
+    if [] in allowed:
+        return  # no search runs; the test above covers it
+    assert_reference_trace(domains, degree, keep, touches, revise)
+    plain = colour(domains, degree, keep, touches)
+    revised = colour(domains, degree, keep, touches, revise)
+    assert (revised is None) == (plain is None)
+    if revised is not None:
+        assert all(revised[a][1] != revised[b][1] for a, b in edges)
+        assert all(c in d for c, d in zip(revised, domains))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kernel_keeps_the_reference_trace_with_revise_on_reductions(seed):
+    formula = random_cnf(seed, 8, 40, distinct_vars=True)
+    g1, g2, _ = reduce_3sat_to_set_zed(formula)
+    _, domains, degree, touches = sets._search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    shrinks = assert_reference_trace(domains, degree, _disjoint_pairs, touches,
+                                     sets._supported_by)
+    # some shrink came from a revise filter, whose log entries are triples
+    # of candidate tuples
+    assert any(isinstance(entry[1], tuple) for entry in shrinks)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -311,8 +384,8 @@ def test_elcs_oracle_restores_the_recursion_limit(swap, feasible):
     assert sys.getrecursionlimit() == before
 
 
-def colour(domains, degree, keep, touches):
-    return backjump_search(domains, degree, keep, 60.0, touches)
+def colour(domains, degree, keep, touches, revise=None):
+    return backjump_search(domains, degree, keep, 60.0, touches, revise)
 
 
 SEARCHES = {
