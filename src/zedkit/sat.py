@@ -6,11 +6,13 @@ converters between satisfying assignments and distance-zero certificates.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import CapExceededError, PreconditionViolatedError
 from .model import SeqGenome, SetGenome, verify_seq_certificate
+from .search import DEFAULT_TIMEOUT_S, deadline, timeout_error
 from .sets import verify_set_certificate
 
 
@@ -66,20 +68,86 @@ def eval_assignment(phi: CnfFormula, sigma: Assignment) -> bool:
 
 
 DEFAULT_MAX_VARS = 24  # brute_force_sat's cap: 2^24 assignments
+_LOW_VARS = 16  # variables evaluated together: a block of 2^16 codes, 8 KB per column
 
 
-def brute_force_sat(phi: CnfFormula, *, max_vars: int = DEFAULT_MAX_VARS) -> Assignment | None:
+def _columns(low: int) -> list[int]:
+    """Column v of the codes 0 .. 2^low - 1: bit c is set iff bit v of c is."""
+    size = 1 << low
+    columns = []
+    for v in range(low):
+        if v < 3:  # periods of 2, 4 and 8 bits fit in one byte
+            unit = bytes([(0xAA, 0xCC, 0xF0)[v]])
+        else:
+            unit = bytes(1 << v - 3) + b"\xff" * (1 << v - 3)
+        repeats = max(size // (8 * len(unit)), 1)
+        columns.append(int.from_bytes(unit * repeats, "little") & (1 << size) - 1)
+    return columns
+
+
+def brute_force_sat(
+    phi: CnfFormula, *, max_vars: int = DEFAULT_MAX_VARS, timeout_s: float = DEFAULT_TIMEOUT_S
+) -> Assignment | None:
     """First satisfying assignment in a fixed enumeration order, or None.
 
     Assignments are scanned as counters 0 .. 2^n - 1 with bit i-1 giving the
-    value of variable i, so the result is deterministic.
+    value of variable i, so the result is deterministic.  The scan is
+    bit-sliced (Biham 1997, "A fast new DES implementation in software"): the
+    codes run in blocks of 2^16, and a block is one big int whose bit c
+    stands for its c-th code.  Within a block the 16 low variables are
+    columns and the others constants, so a clause is the OR of its low
+    literals' columns, or the whole block when a high literal holds, and the
+    formula is the AND of its clauses.  The first block with a bit left gives
+    the answer at its lowest bit.  The clauses over low variables only are
+    ANDed once per call; a block costs one AND per other clause that its
+    constants leave open, on 8 KB ints, so 2^24 codes take 256 blocks.
+
+    Raises CapExceededError when n exceeds max_vars, and SearchTimeoutError
+    once timeout_s seconds have passed (the clock is read once per block),
+    ValueError when timeout_s is NaN.
     """
     n = phi.n_vars
     if n > max_vars:
         raise CapExceededError(f"{n} variables exceeds the cap of {max_vars}")
-    lits = [tuple((l.variable - 1, l.positive) for l in cl) for cl in phi.clauses]
-    for code in range(1 << n):
-        if all(any(bool(code >> v & 1) == pol for v, pol in cl) for cl in lits):
+    stop = deadline(timeout_s)
+    low = min(n, _LOW_VARS)
+    columns = _columns(low)
+    full = (1 << (1 << low)) - 1
+    always = full  # the codes of a block that satisfy every low-only clause
+    # (low part, high variables, the values of them that falsify every high
+    # literal) of each clause with a high literal
+    mixed: list[tuple[int, int, int]] = []
+    for cl in phi.clauses:
+        part = high = falsifier = 0
+        for lit in cl:
+            v = lit.variable - 1
+            if v < low:
+                part |= columns[v] if lit.positive else full ^ columns[v]
+                continue
+            bit = 1 << v - low
+            if high & bit and bool(falsifier & bit) == lit.positive:
+                break  # x or not x: the clause holds everywhere
+            high |= bit
+            if not lit.positive:
+                falsifier |= bit
+        else:
+            if high:
+                mixed.append((part, high, falsifier))
+            else:
+                always &= part
+    if not always:
+        return None
+    for block in range(1 << n - low):
+        if time.monotonic() > stop:
+            raise timeout_error(timeout_s)
+        models = always
+        for part, high, falsifier in mixed:
+            if block & high == falsifier:
+                models &= part
+                if not models:
+                    break
+        if models:
+            code = block << low | (models & -models).bit_length() - 1
             return {v + 1: bool(code >> v & 1) for v in range(n)}
     return None
 

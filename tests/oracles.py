@@ -400,3 +400,14 @@ def dpll_sat(n_vars, clauses):
     if model is not None:
         model = {v: model.get(v, False) for v in range(1, n_vars + 1)}
     return model, nodes
+
+
+def brute_force_reference(n_vars, clauses):
+    """The first satisfying assignment {variable: bool} of the CNF whose
+    clauses are lists of non-zero DIMACS literals, or None: codes 0 .. 2^n - 1
+    are tried one at a time, with bit i-1 giving the value of variable i."""
+    lits = [[(abs(l) - 1, l > 0) for l in cl] for cl in clauses]
+    for code in range(1 << n_vars):
+        if all(any(bool(code >> v & 1) == pol for v, pol in cl) for cl in lits):
+            return {v + 1: bool(code >> v & 1) for v in range(n_vars)}
+    return None

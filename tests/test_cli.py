@@ -311,6 +311,13 @@ def test_sat_command(tmp_path, data_dir, capsys):
     big = tmp_path / "big.cnf"
     big.write_text("p cnf 30 0\n")
     assert main(["sat", str(big)]) == 4
+    # the first model of (40, 40, 40) lies 2^23 blocks of 2^16 codes in
+    forced = tmp_path / "forced.cnf"
+    forced.write_text("p cnf 40 1\n40 40 40 0\n")
+    capsys.readouterr()
+    assert main(["sat", str(forced), "--max-vars", "40", "--timeout", "0.2"]) == 4
+    assert "exceeded the 0.2s budget" in capsys.readouterr().err
+    assert main(["sat", str(forced), "--timeout", "nan"]) == 2
 
 
 def test_gen_is_deterministic(tmp_path, capsys):

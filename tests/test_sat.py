@@ -14,6 +14,7 @@ from zedkit import (
     CnfFormula,
     Literal,
     PreconditionViolatedError,
+    SearchTimeoutError,
     SeqGenome,
     SetGenome,
     assignment_from_seq_certificate,
@@ -33,6 +34,7 @@ from zedkit import (
 )
 from zedkit.formats import render_seq_roles, render_set_roles
 from zedkit.generate import SplitMix64, random_cnf, random_satisfiable_cnf
+from zedkit.sat import DEFAULT_MAX_VARS
 
 formulas = st.builds(
     lambda n, sign_lists: CnfFormula(
@@ -77,13 +79,17 @@ def dimacs(phi):
 def test_dpll_oracle_agrees_with_brute_force():
     """The independent DPLL of tests/oracles.py against brute_force_sat on 60
     random formulas with about five clauses per variable (32 UNSAT, 28 SAT),
-    n = 8..14."""
+    n = 8..14, and on six near the threshold at n = 18..24."""
     verdicts = set()
+    formulas = []
     for seed in range(60):
         rng = SplitMix64(9_000 + seed)
         n = rng.randint(8, 14)
-        phi = random_cnf(rng.next64(), n, 5 * n + rng.randint(-4, 2), distinct_vars=True)
-        model, nodes = oracles.dpll_sat(n, dimacs(phi))
+        formulas.append(random_cnf(rng.next64(), n, 5 * n + rng.randint(-4, 2), distinct_vars=True))
+    formulas += [random_cnf(seed, n, round(4.3 * n), distinct_vars=True)
+                 for seed, n in ((0, 18), (1, 18), (0, 21), (1, 21), (0, 24), (1, 24))]
+    for phi in formulas:
+        model, nodes = oracles.dpll_sat(phi.n_vars, dimacs(phi))
         expected = brute_force_sat(phi)
         assert (model is None) == (expected is None)
         if model is not None:
@@ -94,9 +100,52 @@ def test_dpll_oracle_agrees_with_brute_force():
     assert oracles.dpll_sat(3, dimacs(COMPLETE_UNSAT_N3))[0] is None
 
 
+@pytest.mark.parametrize("n_vars", range(13))
+def test_brute_force_sat_equals_the_reference(n_vars):
+    """The bit-sliced scan returns the very assignment that the one-code-at-a-
+    time loop of tests/oracles.py returns: no clauses, repeated variables,
+    x or not x within a clause, and both verdicts."""
+    phis = [CnfFormula(n_vars, ())]
+    for seed in range(30 if n_vars else 0):
+        rng = SplitMix64(31 * n_vars + seed)
+        distinct = n_vars >= 3 and rng.coin()
+        phis.append(random_cnf(rng.next64(), n_vars, rng.randint(0, 6 * n_vars), distinct_vars=distinct))
+    if n_vars:
+        phis.append(CnfFormula.of(n_vars, (1, -1, n_vars), (-n_vars, -n_vars, -n_vars)))
+    verdicts = set()
+    for phi in phis:
+        expected = oracles.brute_force_reference(n_vars, dimacs(phi))
+        assert brute_force_sat(phi) == expected
+        verdicts.add(expected is None)
+    assert verdicts == ({False} if n_vars == 0 else {False, True})
+
+
+@pytest.mark.parametrize("n_vars", [17, 18, 19, 20])
+def test_brute_force_sat_equals_the_reference_past_the_first_block(n_vars):
+    """Formulas whose first model lies past the first 2^16 codes: (17, 17, 17)
+    forces variable 17, a variable above 16 in a clause with its own negation
+    leaves the clause true, and the others mix low and high literals."""
+    for seed in range(3):
+        base = random_cnf(seed, n_vars, 2 * n_vars, distinct_vars=True)
+        phi = CnfFormula.of(
+            n_vars, (17, 17, 17), *dimacs(base), (-n_vars, 2, n_vars), (-1, -17, n_vars)
+        )
+        expected = oracles.brute_force_reference(n_vars, dimacs(phi))
+        assert expected is not None and expected[17]
+        assert brute_force_sat(phi) == expected
+
+
 def test_brute_force_sat_cap():
     with pytest.raises(CapExceededError):
         brute_force_sat(CnfFormula(25, ()))
+
+
+def test_brute_force_sat_timeout():
+    # the first model of (40, 40, 40) is code 2^39, 2^23 blocks in
+    with pytest.raises(SearchTimeoutError, match="exceeded the 0.05s budget"):
+        brute_force_sat(CnfFormula.of(40, (40, 40, 40)), max_vars=40, timeout_s=0.05)
+    with pytest.raises(ValueError):
+        brute_force_sat(TWO_CLAUSE_FORMULA, timeout_s=float("nan"))
 
 
 def test_seq_reduction_matches_golden_files(data_dir):
@@ -201,11 +250,12 @@ def test_solve_seq_decides_257_family_reductions_by_default(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_seq_reductions_past_brute_force_agree_with_dpll(seed):
-    """n=24, m=110, where brute_force_sat is too slow to run: seed 2 is UNSAT
-    (39 DPLL nodes), the others are SAT."""
+    """n=24, m=110, against both oracles: seed 2 is UNSAT (39 DPLL nodes),
+    the others are SAT."""
     phi = random_cnf(seed, 24, 110, distinct_vars=True)
     g1, g2, _ = reduce_3sat_to_seq_zed(phi)
     dec = zed_seq_exact(g1, g2)
+    assert dec.answer == (brute_force_sat(phi) is not None)
     assert dec.answer == (oracles.dpll_sat(phi.n_vars, dimacs(phi))[0] is not None)
     if dec.answer:
         assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
@@ -239,10 +289,12 @@ def test_set_reductions_agree_with_brute_force(n_vars):
     (40, 180, 1, False),
 ])
 def test_set_reductions_past_brute_force_agree_with_dpll(n_vars, n_clauses, seed, satisfiable):
-    """Where brute_force_sat is too slow to run (it takes minutes on the
-    n=24 formula), oracles.dpll_sat gives the verdict."""
+    """oracles.dpll_sat gives the verdict, and brute_force_sat too up to its
+    24-variable cap."""
     phi = random_cnf(seed, n_vars, n_clauses, distinct_vars=True)
     assert (oracles.dpll_sat(phi.n_vars, dimacs(phi))[0] is not None) == satisfiable
+    if n_vars <= DEFAULT_MAX_VARS:
+        assert (brute_force_sat(phi) is not None) == satisfiable
     g1, g2, _ = reduce_3sat_to_set_zed(phi)
     dec = zed_set_exact(g1, g2)
     assert dec.answer == satisfiable
