@@ -360,6 +360,11 @@ def _bench_scenarios():
     same = SeqGenome(tuple(range(1, 3000)))
     yield ("seq exact identity 2999 families", 0.62,
            lambda: _verdict(zed_seq_exact(same, same)), "YES")
+    # each binding tests the 313 joint boxes of the runs of 32 families and no
+    # box behind them; testing all 10 000 boxes took about 18 times as long
+    ident = SeqGenome(tuple(range(1, 10001)))
+    yield ("seq exact identity 10 000 families", 4.0,
+           lambda: _verdict(zed_seq_exact(ident, ident)), "YES")
     # families 1..3 in reversed block order: every binding touches every
     # family, and each of the first family's 90 000 pairs is refuted
     r1 = SeqGenome(tuple(f for f in (1, 2, 3) for _ in range(300)))

@@ -8,6 +8,7 @@ seed that produced it.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -32,23 +33,28 @@ from .seq import (
     elcs_exact_oracle,
     elcs_feasible,
     elcs_special,
+    is_subsequence,
     zed_seq_exact,
     zed_seq_special,
 )
 from .sets import verify_set_certificate, zed_set_exact, zed_set_fpt, zed_set_matching
 
 
+def _agree(g1, g2, verify, **decisions) -> str | None:
+    """None when the named decisions give one answer and verify accepts the
+    certificate of each YES among them; else what went wrong."""
+    if len({dec.answer for dec in decisions.values()}) > 1:
+        return " ".join(f"{name}={dec.answer}" for name, dec in decisions.items())
+    for name, dec in decisions.items():
+        if dec.answer and not verify(g1, g2, dec.certificate):
+            return f"{name} certificate rejected"
+    return None
+
+
 def _seq_special_vs_exact(seed: int) -> str | None:
     g1, g2 = random_seq_pair(seed, 2 + seed % 5, max_occ=3, special=True)
-    a = zed_seq_special(g1, g2)
-    b = zed_seq_exact(g1, g2)
-    if a.answer != b.answer:
-        return f"special={a.answer} exact={b.answer}"
-    if a.answer and not verify_seq_certificate(g1, g2, a.certificate):
-        return "special certificate rejected"
-    if b.answer and not verify_seq_certificate(g1, g2, b.certificate):
-        return "exact certificate rejected"
-    return None
+    return _agree(g1, g2, verify_seq_certificate,
+                  special=zed_seq_special(g1, g2), exact=zed_seq_exact(g1, g2))
 
 
 def _elcs_special_vs_oracle(seed: int) -> str | None:
@@ -64,6 +70,10 @@ def _elcs_special_vs_oracle(seed: int) -> str | None:
         return "feasibility test disagrees with oracle"
     if fast is not None and len(fast) != len(slow):
         return f"length mismatch: special={len(fast)} oracle={len(slow)}"
+    for name, out in ("special", fast), ("oracle", slow):
+        if out is not None and not (is_subsequence(out, g1) and is_subsequence(out, g2)
+                                    and all(out.occurrences.get(f) == 1 for f in mandatory)):
+            return f"{name} output is not a common subsequence holding each mandatory family once"
     return None
 
 
@@ -119,56 +129,28 @@ def _sat_formula(seed: int, *, distinct_vars: bool) -> CnfFormula:
     return random_cnf(rng.next64(), n, rng.randint(2 * n, 6 * n), distinct_vars=distinct_vars)
 
 
-def _sat_vs_seq_zed(seed: int) -> str | None:
-    phi = _sat_formula(seed, distinct_vars=False)
+def _sat_vs_zed(seed: int, distinct_vars: bool, reduce, solve, assignment) -> str | None:
+    phi = _sat_formula(seed, distinct_vars=distinct_vars)
     satisfiable = brute_force_sat(phi) is not None
-    g1, g2, _ = reduce_3sat_to_seq_zed(phi)
-    dec = zed_seq_exact(g1, g2)
+    g1, g2, _ = reduce(phi)
+    dec = solve(g1, g2)
     if dec.answer != satisfiable:
         return f"sat={satisfiable} zed={dec.answer}"
-    if dec.answer:
-        sigma = assignment_from_seq_certificate(phi, dec.certificate)
-        if not eval_assignment(phi, sigma):
-            return "extracted assignment does not satisfy the formula"
-    return None
-
-
-def _sat_vs_set_zed(seed: int) -> str | None:
-    phi = _sat_formula(seed, distinct_vars=True)
-    satisfiable = brute_force_sat(phi) is not None
-    g1, g2, _ = reduce_3sat_to_set_zed(phi)
-    dec = zed_set_exact(g1, g2)
-    if dec.answer != satisfiable:
-        return f"sat={satisfiable} zed={dec.answer}"
-    if dec.answer:
-        sigma = assignment_from_set_certificate(phi, dec.certificate)
-        if not eval_assignment(phi, sigma):
-            return "extracted assignment does not satisfy the formula"
+    if dec.answer and not eval_assignment(phi, assignment(phi, dec.certificate)):
+        return "extracted assignment does not satisfy the formula"
     return None
 
 
 def _set_three_way(seed: int) -> str | None:
     g1, g2 = random_set_pair(seed, 3 + seed % 6, 2 + seed % 3, special=True)
-    a = zed_set_matching(g1, g2)
-    b = zed_set_fpt(g1, g2)
-    c = zed_set_exact(g1, g2)
-    if not (a.answer == b.answer == c.answer):
-        return f"matching={a.answer} fpt={b.answer} exact={c.answer}"
-    for name, dec in (("matching", a), ("fpt", b), ("exact", c)):
-        if dec.answer and not verify_set_certificate(g1, g2, dec.certificate):
-            return f"{name} certificate rejected"
-    return None
+    return _agree(g1, g2, verify_set_certificate, matching=zed_set_matching(g1, g2),
+                  fpt=zed_set_fpt(g1, g2), exact=zed_set_exact(g1, g2))
 
 
 def _set_fpt_vs_exact(seed: int) -> str | None:
     g1, g2 = random_set_pair(seed, 3 + seed % 6, 2 + seed % 3, max_occ=3)
-    b = zed_set_fpt(g1, g2)
-    c = zed_set_exact(g1, g2)
-    if b.answer != c.answer:
-        return f"fpt={b.answer} exact={c.answer}"
-    if c.answer and not verify_set_certificate(g1, g2, c.certificate):
-        return "exact certificate rejected"
-    return None
+    return _agree(g1, g2, verify_set_certificate,
+                  fpt=zed_set_fpt(g1, g2), exact=zed_set_exact(g1, g2))
 
 
 SUITES: tuple[tuple[str, Callable[[int], str | None]], ...] = (
@@ -176,8 +158,12 @@ SUITES: tuple[tuple[str, Callable[[int], str | None]], ...] = (
     ("elcs-special-vs-oracle", _elcs_special_vs_oracle),
     ("lcs-sparse-vs-dense", _lcs_sparse_vs_dense),
     ("parse-round-trip", _parse_round_trip),
-    ("sat-vs-seq-zed", _sat_vs_seq_zed),
-    ("sat-vs-set-zed", _sat_vs_set_zed),
+    ("sat-vs-seq-zed", functools.partial(
+        _sat_vs_zed, distinct_vars=False, reduce=reduce_3sat_to_seq_zed, solve=zed_seq_exact,
+        assignment=assignment_from_seq_certificate)),
+    ("sat-vs-set-zed", functools.partial(
+        _sat_vs_zed, distinct_vars=True, reduce=reduce_3sat_to_set_zed, solve=zed_set_exact,
+        assignment=assignment_from_set_certificate)),
     ("set-three-way", _set_three_way),
     ("set-fpt-vs-exact", _set_fpt_vs_exact),
 )
@@ -197,21 +183,18 @@ def run_selftest(
     min_cases: int = 10,
     max_cases: int = 100,
 ) -> SelftestReport:
-    """Round-robin the suites on seeds BASE_SEED, BASE_SEED+1, ... until each
-    has run max_cases or the budget runs out; short reports that some
-    suite ran fewer than min_cases.  A suite that raises on a seed is
+    """Run every suite once per round, round r on seed BASE_SEED + r, for
+    max_cases rounds or until the budget runs out; short reports that the
+    suites ran fewer than min_cases.  A suite that raises on a seed is
     recorded as a failure of that seed, and the run goes on.  Raises
     ValueError when budget_s is NaN."""
     report = SelftestReport(cases={name: 0 for name, _ in SUITES})
     stop = deadline(budget_s)
-    case = 0
-    while any(n < max_cases for n in report.cases.values()):
+    for case in range(max_cases):
         if time.monotonic() >= stop:
             break
+        seed = BASE_SEED + case
         for name, fn in SUITES:
-            if report.cases[name] >= max_cases:
-                continue
-            seed = BASE_SEED + case
             try:
                 problem = fn(seed)
             except Exception as exc:
@@ -219,6 +202,5 @@ def run_selftest(
             report.cases[name] += 1
             if problem is not None:
                 report.failures.append(f"{name} (seed {seed}): {problem}")
-        case += 1
     report.short = any(n < min_cases for n in report.cases.values())
     return report

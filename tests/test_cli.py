@@ -430,6 +430,12 @@ def test_run_selftest_flags_a_short_run_with_budget_to_spare():
     assert report.short
 
 
+def test_run_selftest_at_depth():
+    report = run_selftest(120.0, min_cases=50, max_cases=50)
+    assert report.failures == []
+    assert set(report.cases.values()) == {50}
+
+
 def test_usage_errors(tmp_path, data_dir, seq_files, set_files):
     assert main(["solve-seq", *seq_files, "--mode", "bogus"]) == 2
     for command, files in ("solve-seq", seq_files), ("solve-set", set_files), ("elcs", seq_files):

@@ -261,6 +261,20 @@ def test_seq_reductions_past_brute_force_agree_with_dpll(seed):
         assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
 
 
+@pytest.mark.parametrize("seed, satisfiable", [(0, False), (1, True)])
+def test_seq_reductions_at_30_variables_agree_with_dpll(seed, satisfiable):
+    """n=30, m=135, past brute_force_sat's cap: oracles.dpll_sat gives the
+    verdict, and a YES certificate yields a satisfying assignment."""
+    phi = random_cnf(seed, 30, 135, distinct_vars=True)
+    assert (oracles.dpll_sat(phi.n_vars, dimacs(phi))[0] is not None) == satisfiable
+    g1, g2, _ = reduce_3sat_to_seq_zed(phi)
+    dec = zed_seq_exact(g1, g2)
+    assert dec.answer == satisfiable
+    if dec.answer:
+        assert verify_seq_certificate(g1, g2, dec.certificate).ok
+        assert eval_assignment(phi, assignment_from_seq_certificate(phi, dec.certificate))
+
+
 @pytest.mark.parametrize("n_vars", [4, 5, 6])
 def test_set_reductions_agree_with_brute_force(n_vars):
     """Random formulas near the threshold, both verdicts: the exact search
