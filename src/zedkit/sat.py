@@ -242,6 +242,12 @@ def reduce_3sat_to_seq_zed(phi: CnfFormula) -> tuple[SeqGenome, SeqGenome, GeneN
     2n + 1 + 3(j-1) + {1,2,3}, r/s/t of clause j at 2n + 3m + 1 + 3(j-1) +
     {1,2,3}.
     """
+    lay, g1, g2 = _seq_genomes(phi)
+    return g1, g2, lay.name_table()
+
+
+def _seq_genomes(phi: CnfFormula) -> tuple[_Layout, SeqGenome, SeqGenome]:
+    """reduce_3sat_to_seq_zed's layout and genomes, without the name table."""
     lay = _seq_layout(phi)
     n = lay.n
     g1: list[int] = []
@@ -257,7 +263,7 @@ def reduce_3sat_to_seq_zed(phi: CnfFormula) -> tuple[SeqGenome, SeqGenome, GeneN
         r, s, t = lay.literal_genes(j)
         g1 += [r, a, b, c, s, a, b, c, t]
         g2 += [a, r, b, a, s, c, b, t, c]
-    return SeqGenome(tuple(g1)), SeqGenome(tuple(g2)), lay.name_table()
+    return lay, SeqGenome(tuple(g1)), SeqGenome(tuple(g2))
 
 
 def _taken_literal_genes(lay, sigma: Assignment) -> set[int]:
@@ -310,7 +316,7 @@ def seq_certificate_from_assignment(phi: CnfFormula, sigma: Assignment) -> SeqGe
 def assignment_from_seq_certificate(phi: CnfFormula, cert: SeqGenome) -> Assignment:
     """Satisfying assignment read off a verified certificate: a variable is
     true iff its x gene precedes its y gene."""
-    g1, g2, _ = reduce_3sat_to_seq_zed(phi)
+    _, g1, g2 = _seq_genomes(phi)
     check = verify_seq_certificate(g1, g2, cert)
     if not check:
         raise PreconditionViolatedError(f"certificate rejected: {check.reason}")
@@ -332,6 +338,12 @@ def reduce_3sat_to_set_zed(phi: CnfFormula) -> tuple[SetGenome, SetGenome, GeneN
     Families: x_i = i, a/b/c/a'/b'/c' of clause j at n + 6(j-1) + {1..6},
     r/s/t of clause j at n + 6m + 3(j-1) + {1,2,3}.
     """
+    lay, g1, g2 = _set_genomes(phi)
+    return g1, g2, lay.name_table()
+
+
+def _set_genomes(phi: CnfFormula) -> tuple[_Layout, SetGenome, SetGenome]:
+    """reduce_3sat_to_set_zed's layout and genomes, without the name table."""
     if not phi.distinct_vars_per_clause:
         raise PreconditionViolatedError("a clause repeats a variable")
     lay = _set_layout(phi)
@@ -362,7 +374,7 @@ def reduce_3sat_to_set_zed(phi: CnfFormula) -> tuple[SetGenome, SetGenome, GeneN
             frozenset({b2}),
             frozenset({c2}),
         ]
-    return SetGenome(tuple(g1)), SetGenome(tuple(g2)), lay.name_table()
+    return lay, SetGenome(tuple(g1)), SetGenome(tuple(g2))
 
 
 def set_certificate_from_assignment(phi: CnfFormula, sigma: Assignment) -> SetGenome:
@@ -411,11 +423,10 @@ def assignment_from_set_certificate(phi: CnfFormula, cert: SetGenome) -> Assignm
     """Satisfying assignment read off a verified certificate: a variable is
     true iff the certificate block holding its x gene also holds a literal
     gene of one of its positive occurrences."""
-    g1, g2, _ = reduce_3sat_to_set_zed(phi)
+    lay, g1, g2 = _set_genomes(phi)
     check = verify_set_certificate(g1, g2, cert)
     if not check:
         raise PreconditionViolatedError(f"certificate rejected: {check.reason}")
-    lay = _set_layout(phi)
     home: dict[int, frozenset[int]] = {}
     for block in cert.chromosomes:
         for g in block:

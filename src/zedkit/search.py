@@ -45,8 +45,9 @@ def backjump_search(
     Items are the indices of domains.  A domain is any object with len() that
     iterates its candidates in the order to try them; the kernel never changes
     one.  keep(chosen, live) returns a domain of the same kind with the
-    candidates of live compatible with chosen, a candidate of another item;
-    compatibility must be symmetric.
+    candidates of live compatible with chosen, a candidate of another item,
+    and may return live itself when it removes none, which then costs no
+    len(); compatibility must be symmetric.
 
     touches(c) lists in ascending order a superset of the items whose live
     candidates c can rule out (bound items in it are skipped); binding c
@@ -125,10 +126,11 @@ def backjump_search(
     # size * step + base[y], where base[y] < step orders by larger degree,
     # then index; key % n is the item.  A key in the heap counts while its
     # item is pending with that key, and every pending item has one whenever
-    # the next is picked.
-    top = max(degree, default=0)
-    step = n * (top - min(degree, default=0) + 1)
-    base = [(top - d) * n + y for y, d in enumerate(degree)]
+    # the next is picked.  When every degree ties, as in the ordered search,
+    # base[y] is y and needs no table.
+    top, low = max(degree, default=0), min(degree, default=0)
+    step = n * (top - low + 1)
+    base = range(n) if top == low else [(top - d) * n + y for y, d in enumerate(degree)]
     heap = [y if s == 1 else s * step + base[y] for y, s in enumerate(sizes)]
     heapify(heap)
 
@@ -212,10 +214,13 @@ def backjump_search(
             for y in touches(c):
                 if bound[y]:
                     continue
-                after = keep(c, live[y])
+                before = live[y]
+                after = keep(c, before)
+                if after is before:
+                    continue
                 size = len(after)
                 if size < sizes[y]:
-                    trail.append((y, live[y], sizes[y]))
+                    trail.append((y, before, sizes[y]))
                     live[y] = after
                     sizes[y] = size
                     pruners[y].append(pick)

@@ -13,6 +13,7 @@ import time
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -281,17 +282,31 @@ class _LivePairs:
     """The live occurrence pairs of one family, never listed one by one: each
     cell (a, lo1, hi1, b, lo2, hi2) holds every p in a[lo1:hi1] with every q
     in b[lo2:hi2], a and b being the sorted positions of one signed form of
-    the family in g1 and g2.  Memory is linear in the copy counts."""
+    the family in g1 and g2.  size is their number, which the caller adds up
+    as it builds the cells.  Memory is linear in the copy counts."""
 
-    def __init__(self, cells: list[tuple]):
+    __slots__ = ("cells", "size")
+
+    def __init__(self, cells: list[tuple], size: int):
         self.cells = cells
-        self.size = sum((hi1 - lo1) * (hi2 - lo2) for _, lo1, hi1, _, lo2, hi2 in cells)
+        self.size = size
 
     def __len__(self) -> int:
         return self.size
 
     def __iter__(self):
-        """Smallest p + q first, from a heap with one entry per g1 position."""
+        """Smallest p + q first, then smallest p.  A lone cell of one row or
+        one column is already in that order; otherwise the pairs come from a
+        heap with one entry per g1 position."""
+        if len(self.cells) == 1:
+            a, lo1, hi1, b, lo2, hi2 = self.cells[0]
+            if hi1 - lo1 == 1:
+                return zip(repeat(a[lo1]), b[lo2:hi2])
+            if hi2 - lo2 == 1:
+                return zip(a[lo1:hi1], repeat(b[lo2]))
+        return self._merged()
+
+    def _merged(self):
         heap = [(p + b[lo2], p, lo2, b, hi2) for a, lo1, hi1, b, lo2, hi2 in self.cells
                 for p in a[lo1:hi1]]
         heapq.heapify(heap)
@@ -305,21 +320,25 @@ class _LivePairs:
 
 
 def _non_crossing(c: tuple[int, int], live: _LivePairs) -> _LivePairs:
-    """The pairs of live both before c or both after it.  Positions p and q
-    hold another family, so bisection splits each cell cleanly."""
+    """The pairs of live both before c or both after it; live itself when
+    that is all of them.  Positions p and q hold another family, so
+    bisection splits each cell cleanly."""
     p, q = c
     for a, lo1, hi1, b, lo2, hi2 in live.cells:
         if not (a[hi1 - 1] < p and b[hi2 - 1] < q or a[lo1] > p and b[lo2] > q):
             break
     else:
         return live  # every cell lies wholly before or wholly after c
-    cells = []
+    cells, size = [], 0
     for a, lo1, hi1, b, lo2, hi2 in live.cells:
         m1, m2 = bisect_left(a, p, lo1, hi1), bisect_left(b, q, lo2, hi2)
-        for cell in (a, lo1, m1, b, lo2, m2), (a, m1, hi1, b, m2, hi2):
-            if cell[1] < cell[2] and cell[4] < cell[5]:
-                cells.append(cell)
-    return _LivePairs(cells)
+        if lo1 < m1 and lo2 < m2:
+            cells.append((a, lo1, m1, b, lo2, m2))
+            size += (m1 - lo1) * (m2 - lo2)
+        if m1 < hi1 and m2 < hi2:
+            cells.append((a, m1, hi1, b, m2, hi2))
+            size += (hi1 - m1) * (hi2 - m2)
+    return _LivePairs(cells, size)
 
 
 # Boxes are tested in runs of this many consecutive families behind the
@@ -362,17 +381,25 @@ def _search_inputs(g1: SeqGenome, g2: SeqGenome):
             at.setdefault(v, []).append(p)
     domains, boxes = [], []
     for x, f in enumerate(fams):
-        forms = [(at1[v], at2[v]) for v in (f, -f) if v in at1 and v in at2]
-        if not forms:
+        # the cells of f, one per signed form in both genomes, and the box
+        # (lo1, hi1, lo2, hi2) around them: the live pairs of f stay inside
+        # it, so a binding that crosses no pair of the box never shrinks f
+        cells, size, box = [], 0, None
+        for v in f, -f:
+            a, b = at1.get(v), at2.get(v)
+            if a is None or b is None:
+                continue
+            cells.append((a, 0, len(a), b, 0, len(b)))
+            size += len(a) * len(b)
+            if box is None:
+                box = a[0], a[-1], b[0], b[-1]
+            else:  # the other signed form
+                lo1, hi1, lo2, hi2 = box
+                box = min(lo1, a[0]), max(hi1, a[-1]), min(lo2, b[0]), max(hi2, b[-1])
+        if box is None:
             return None
-        domains.append(_LivePairs([(a, 0, len(a), b, 0, len(b)) for a, b in forms]))
-        # the live pairs of f stay inside the box around its cells, so a
-        # binding that crosses no pair of the box never shrinks f
-        (a, b), *other = forms
-        lo1, hi1, lo2, hi2 = a[0], a[-1], b[0], b[-1]
-        for a, b in other:  # the other signed form
-            lo1, hi1, lo2, hi2 = min(lo1, a[0]), max(hi1, a[-1]), min(lo2, b[0]), max(hi2, b[-1])
-        boxes.append((x, lo1, hi1, lo2, hi2))
+        domains.append(_LivePairs(cells, size))
+        boxes.append((x, *box))
     # every two families constrain each other, so all degrees tie
     degree = [len(fams) - 1] * len(fams)
     return fams, domains, degree, _crossing_families(boxes)

@@ -396,6 +396,14 @@ def test_assignment_from_set_certificate_worked_case():
     assert assignment_from_set_certificate(TWO_CLAUSE_FORMULA, cert) == TWO_CLAUSE_SIGMA
 
 
+def test_assignment_from_set_certificate_rejects_garbage():
+    g1, _, _ = reduce_3sat_to_set_zed(TWO_CLAUSE_FORMULA)
+    with pytest.raises(PreconditionViolatedError, match="certificate rejected"):
+        assignment_from_set_certificate(TWO_CLAUSE_FORMULA, g1)
+    with pytest.raises(PreconditionViolatedError, match="repeats a variable"):
+        assignment_from_set_certificate(CnfFormula.of(2, (1, 1, 2)), g1)
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_set_round_trip_on_random_satisfiable_formulas(seed):
     rng = SplitMix64(seed)

@@ -184,6 +184,25 @@ def test_kernel_keeps_the_reference_trace_with_revise_on_colourings(case):
         assert all(c in d for c, d in zip(revised, domains))
 
 
+@given(colourings())
+@settings(max_examples=200, deadline=None)
+def test_kernel_keeps_the_reference_trace_when_keep_returns_its_input(case):
+    """The kernel skips len() when keep hands back the domain it was given,
+    as _non_crossing does whenever it removes nothing."""
+    allowed, edges, degree = case
+    if [] in allowed:
+        return  # no search runs
+    _, _, keep, touches = colouring(edges, len(allowed), 3)
+
+    def same_when_unchanged(c, live):
+        after = keep(c, live)
+        return live if len(after) == len(live) else after
+
+    domains = [[(x, k) for k in ks] for x, ks in enumerate(allowed)]
+    for revise in None, colouring_revise(edges):
+        assert_reference_trace(domains, degree, same_when_unchanged, touches, revise)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_kernel_keeps_the_reference_trace_with_revise_on_reductions(seed):
     formula = random_cnf(seed, 8, 40, distinct_vars=True)

@@ -42,6 +42,8 @@ from zedkit import seq
 from zedkit.generate import SplitMix64, random_seq_pair
 from zedkit.seq import (
     _dense_max_weight_subsequence,
+    _LivePairs,
+    _non_crossing,
     _sparse_max_weight_subsequence,
 )
 
@@ -359,6 +361,55 @@ def test_zed_seq_special_family_mismatch_is_no():
 def test_zed_seq_special_rejects_general():
     with pytest.raises(PreconditionViolatedError):
         zed_seq_special(SeqGenome.of(1, 1), SeqGenome.of(1, 1))
+
+
+# (g1 copies, g2 copies) of each signed form of one family
+LIVE_SHAPES = {
+    "one row": st.tuples(st.just(1), st.integers(1, 6)).map(lambda c: [c]),
+    "one column": st.tuples(st.integers(1, 6), st.just(1)).map(lambda c: [c]),
+    "several rows": st.tuples(st.integers(2, 6), st.integers(2, 6)).map(lambda c: [c]),
+    "two forms": st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)),
+                          min_size=2, max_size=2),
+}
+
+
+@st.composite
+def live_pairs_with_cuts(draw):
+    """The domain of one family whose signed forms sit at random positions
+    0..29 of g1 and g2, its occurrence pairs, and a chain of bindings (p, q)
+    of other families, at positions that no form of it holds."""
+    copies = draw(st.sampled_from(sorted(LIVE_SHAPES)).flatmap(LIVE_SHAPES.get))
+    held = []
+    for side in 0, 1:
+        total = sum(c[side] for c in copies)
+        held.append(draw(st.lists(st.integers(0, 29), unique=True,
+                                  min_size=total, max_size=total)))
+    cells, pairs, start = [], [], [0, 0]
+    for n1, n2 in copies:
+        a = sorted(held[0][start[0]:start[0] + n1])
+        b = sorted(held[1][start[1]:start[1] + n2])
+        start = [start[0] + n1, start[1] + n2]
+        cells.append((a, 0, n1, b, 0, n2))
+        pairs += [(p, q) for p in a for q in b]
+    free = [[x for x in range(30) if x not in held[side]] for side in (0, 1)]
+    cuts = draw(st.lists(st.tuples(st.sampled_from(free[0]), st.sampled_from(free[1])),
+                         max_size=4))
+    return _LivePairs(cells, len(pairs)), pairs, cuts
+
+
+@given(live_pairs_with_cuts())
+@settings(max_examples=300, deadline=None)
+def test_live_pairs_iterate_their_cells_in_order(case):
+    """A domain lists exactly its cells' product, by (p + q, p), and its
+    len() counts it, also after each cut of a chain of _non_crossing."""
+    live, pairs, cuts = case
+    for cut in [None, *cuts]:
+        if cut is not None:
+            p, q = cut
+            live = _non_crossing(cut, live)
+            pairs = [(x, y) for x, y in pairs if (x < p) == (y < q)]
+        assert list(live) == sorted(pairs, key=lambda pq: (pq[0] + pq[1], pq[0]))
+        assert len(live) == len(pairs)
 
 
 def test_zed_seq_exact_worked_pair():
