@@ -379,19 +379,18 @@ def live_pairs_with_cuts(draw):
     0..29 of g1 and g2, its occurrence pairs, and a chain of bindings (p, q)
     of other families, at positions that no form of it holds."""
     copies = draw(st.sampled_from(sorted(LIVE_SHAPES)).flatmap(LIVE_SHAPES.get))
-    held = []
+    held, free = [], []
     for side in 0, 1:
         total = sum(c[side] for c in copies)
-        held.append(draw(st.lists(st.integers(0, 29), unique=True,
-                                  min_size=total, max_size=total)))
-    cells, pairs, start = [], [], [0, 0]
+        spots = draw(st.lists(st.integers(0, 29), unique=True, min_size=total, max_size=total))
+        held.append(iter(spots))
+        free.append([x for x in range(30) if x not in spots])
+    cells, pairs = [], []
     for n1, n2 in copies:
-        a = sorted(held[0][start[0]:start[0] + n1])
-        b = sorted(held[1][start[1]:start[1] + n2])
-        start = [start[0] + n1, start[1] + n2]
+        a = sorted(next(held[0]) for _ in range(n1))
+        b = sorted(next(held[1]) for _ in range(n2))
         cells.append((a, 0, n1, b, 0, n2))
         pairs += [(p, q) for p in a for q in b]
-    free = [[x for x in range(30) if x not in held[side]] for side in (0, 1)]
     cuts = draw(st.lists(st.tuples(st.sampled_from(free[0]), st.sampled_from(free[1])),
                          max_size=4))
     return _LivePairs(cells, len(pairs)), pairs, cuts
@@ -403,11 +402,12 @@ def test_live_pairs_iterate_their_cells_in_order(case):
     """A domain lists exactly its cells' product, by (p + q, p), and its
     len() counts it, also after each cut of a chain of _non_crossing."""
     live, pairs, cuts = case
-    for cut in [None, *cuts]:
-        if cut is not None:
-            p, q = cut
-            live = _non_crossing(cut, live)
-            pairs = [(x, y) for x, y in pairs if (x < p) == (y < q)]
+    steps = [(live, pairs)]
+    for p, q in cuts:
+        live = _non_crossing((p, q), live)
+        pairs = [(x, y) for x, y in pairs if (x < p) == (y < q)]
+        steps.append((live, pairs))
+    for live, pairs in steps:
         assert list(live) == sorted(pairs, key=lambda pq: (pq[0] + pq[1], pq[0]))
         assert len(live) == len(pairs)
 
