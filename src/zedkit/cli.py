@@ -341,6 +341,20 @@ def _bench_scenarios():
     padded = SetGenome(units.chromosomes[:1000] + (frozenset(),) * 1000)
     yield ("verify 1000+1000 empty", 0.1,
            lambda: verify_set_certificate(padded, padded, padded).ok, True)
+    # a planted partition of 20 000 genes into 2000 blocks of 10: block b is
+    # chromosome b of v1 and chromosome 1999 - b of v2, and each gene of an
+    # odd block has a second copy elsewhere in v1, so the rarest-gene scan
+    # walks every gene of those blocks; the run builds both gene indexes
+    blocks = tuple(frozenset(range(10 * b + 1, 10 * b + 11)) for b in range(2000))
+    copies: list[set[int]] = [set() for _ in blocks]
+    for b in range(1, 2000, 2):
+        for f in blocks[b]:
+            copies[(b + rng.randint(1, 1999)) % 2000].add(f)
+    v1 = SetGenome(tuple(blk | more for blk, more in zip(blocks, copies)))
+    v2 = SetGenome(blocks[::-1])
+    planted = SetGenome(blocks)
+    yield ("verify planted k=2000 YES", 0.23,
+           lambda: verify_set_certificate(v1, v2, planted).ok, True)
 
     # the complete unsatisfiable 3-variable formula (all eight sign patterns)
     # compiles to a 55-family ordered pair and to a set pair, which the exact

@@ -25,8 +25,8 @@ MAX_FAMILY = 2**31 - 1
 class SeqGenome:
     """Ordered sequence of signed genes (one chromosome).
 
-    The derived views (families, occurrences) are built on first use and
-    kept on the genome; they never change after that.
+    The derived views (families, occurrences, duplicated) are built on first
+    use and kept on the genome; they never change after that.
     """
 
     genes: tuple[int, ...]
@@ -74,6 +74,11 @@ class SeqGenome:
         """Read-only family -> occurrences, ignoring sign."""
         return MappingProxyType(Counter(map(abs, self.genes)))
 
+    @cached_property
+    def duplicated(self) -> frozenset[int]:
+        """The families with more than one occurrence."""
+        return frozenset(f for f, c in self.occurrences.items() if c > 1)
+
 
 @dataclass(frozen=True, eq=False)
 class SetGenome:
@@ -81,8 +86,9 @@ class SetGenome:
 
     Chromosome order is preserved as read but carries no meaning: equality and
     hashing compare the multiset of chromosomes.  The derived views (hosts,
-    occurrences, ground_set) are built on first use and kept on the genome;
-    they never change after that, and every route reads the same ones.
+    occurrences, ground_set, duplicated) are built on first use and kept on
+    the genome; they never change after that, and every route reads the same
+    ones.
     """
 
     chromosomes: tuple[frozenset[int], ...]
@@ -130,6 +136,11 @@ class SetGenome:
     @cached_property
     def ground_set(self) -> frozenset[int]:
         return frozenset(self.occurrences)
+
+    @cached_property
+    def duplicated(self) -> frozenset[int]:
+        """The families held by more than one chromosome."""
+        return frozenset(f for f, c in self.occurrences.items() if c > 1)
 
     def total_genes(self) -> int:
         """Gene count summed over chromosomes (duplicates across chromosomes count)."""
@@ -200,8 +211,7 @@ def classify_instance(g1: Genome, g2: Genome) -> InstanceClass:
     p1, p2 = g1.occurrences, g2.occurrences
     if p1.keys() != p2.keys():
         return InstanceClass.FAMILY_MISMATCH
-    dup1 = {f for f, c in p1.items() if c > 1}
-    dup2 = {f for f, c in p2.items() if c > 1}
+    dup1, dup2 = g1.duplicated, g2.duplicated
     if not dup1 and not dup2:
         return InstanceClass.BOTH_EXEMPLAR
     if not dup1 or not dup2:

@@ -201,7 +201,7 @@ def zed_one_side_duplicate_free(exemplar_side: SeqGenome, other: SeqGenome) -> S
     """Linear-time decision when one genome is already duplicate-free: the
     distance is zero iff both hold the same families and that genome embeds
     into the other."""
-    dup = sorted(f for f, c in exemplar_side.occurrences.items() if c > 1)
+    dup = sorted(exemplar_side.duplicated)
     if dup:
         raise PreconditionViolatedError(f"exemplar side repeats families {dup[:5]}")
     if exemplar_side.families == other.families and is_subsequence(exemplar_side, other):
@@ -210,8 +210,7 @@ def zed_one_side_duplicate_free(exemplar_side: SeqGenome, other: SeqGenome) -> S
 
 
 def _check_mandatory_special(a: SeqGenome, b: SeqGenome, alphabet: Alphabet) -> None:
-    pa, pb = a.occurrences, b.occurrences
-    bad = sorted(f for f in alphabet.mandatory if pa.get(f, 0) >= 2 and pb.get(f, 0) >= 2)
+    bad = sorted(alphabet.mandatory & a.duplicated & b.duplicated)
     if bad:
         raise PreconditionViolatedError(
             f"mandatory families {bad[:5]} occur at least twice in both sequences"

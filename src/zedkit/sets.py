@@ -36,17 +36,18 @@ from .search import DEFAULT_TIMEOUT_S, backjump_search, deadline, timeout_error
 
 @dataclass(frozen=True)
 class IntersectionGraph:
-    """Bipartite graph on chromosome pairs: entry (i, j) holds the non-empty
-    intersection of left chromosome i with right chromosome j (0-based), in
-    (i, j) order; a pair that shares no gene is absent and weighs 0."""
+    """Bipartite graph on chromosome pairs: entry (i, j) holds the size of the
+    non-empty intersection of left chromosome i with right chromosome j
+    (0-based), in (i, j) order; a pair that shares no gene is absent and
+    weighs 0.  The intersections themselves are not kept: a route builds the
+    few blocks it answers with from the chromosomes."""
 
     left_size: int
     right_size: int
-    reduced: dict[tuple[int, int], frozenset[int]]
+    weights: dict[tuple[int, int], int]
 
     def weight(self, i: int, j: int) -> int:
-        block = self.reduced.get((i, j))
-        return 0 if block is None else len(block)
+        return self.weights.get((i, j), 0)
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,20 @@ class SetDecision:
 
 
 def build_intersection_graph(g1: SetGenome, g2: SetGenome) -> IntersectionGraph:
-    """The non-empty chromosome intersections, built through g2's gene ->
-    chromosome index (the genome builds it once and every route shares it):
-    O(sum over genes of occ1 * occ2) work."""
+    """The sizes of the non-empty chromosome intersections, counted through
+    g2's gene -> chromosome index (the genome builds it once and every route
+    shares it) without building a block: O(sum over genes of occ1 * occ2)
+    work."""
     hosts = g2.hosts
-    reduced: dict[tuple[int, int], frozenset[int]] = {}
+    weights: dict[tuple[int, int], int] = {}
     for i, c in enumerate(g1.chromosomes):
-        row: dict[int, list[int]] = {}
+        row: dict[int, int] = {}
         for f in c:
             for j in hosts.get(f, ()):
-                row.setdefault(j, []).append(f)
+                row[j] = row.get(j, 0) + 1
         for j in sorted(row):
-            reduced[(i, j)] = frozenset(row[j])
-    return IntersectionGraph(len(g1.chromosomes), len(g2.chromosomes), reduced)
+            weights[(i, j)] = row[j]
+    return IntersectionGraph(len(g1.chromosomes), len(g2.chromosomes), weights)
 
 
 def max_weight_bipartite_matching(graph: IntersectionGraph) -> Matching:
@@ -88,9 +90,9 @@ def max_weight_bipartite_matching(graph: IntersectionGraph) -> Matching:
     if graph.left_size == 0 or graph.right_size == 0:
         return Matching(frozenset(), 0)
     w = np.zeros((graph.left_size, graph.right_size), dtype=np.int64)
-    n = len(graph.reduced)
-    ij = np.fromiter(itertools.chain.from_iterable(graph.reduced), np.intp, 2 * n)
-    w[ij[0::2], ij[1::2]] = np.fromiter(map(len, graph.reduced.values()), np.int64, n)
+    n = len(graph.weights)
+    ij = np.fromiter(itertools.chain.from_iterable(graph.weights), np.intp, 2 * n)
+    w[ij[0::2], ij[1::2]] = np.fromiter(graph.weights.values(), np.int64, n)
     rows, cols = linear_sum_assignment(w, maximize=True)
     picked = w[rows, cols]
     used = picked > 0
@@ -115,12 +117,13 @@ def _matching_decision(g1: SetGenome, g2: SetGenome, cls: InstanceClass) -> SetD
     """zed_set_matching on a pair already classified as cls (not GENERAL)."""
     if cls is InstanceClass.FAMILY_MISMATCH:
         return SetDecision(False)
-    graph = build_intersection_graph(g1, g2)
-    matching = max_weight_bipartite_matching(graph)
+    matching = max_weight_bipartite_matching(build_intersection_graph(g1, g2))
     # both genomes hold the same families, as cls is no FAMILY_MISMATCH
     if matching.total_weight != len(g1.ground_set):
         return SetDecision(False, witness_matching=matching)
-    cert = SetGenome(tuple(graph.reduced[p] for p in sorted(matching.pairs)))
+    # only the matched blocks are built; they intersect checked chromosomes
+    c1, c2 = g1.chromosomes, g2.chromosomes
+    cert = SetGenome._trusted(tuple(c1[i] & c2[j] for i, j in sorted(matching.pairs)))
     return SetDecision(True, cert, witness_matching=matching)
 
 
@@ -132,19 +135,25 @@ def zed_set_fpt(
     chromosomes), scan all k! pairings of chromosomes for one whose
     intersections cover every gene.  The witness is the lexicographically
     smallest covering permutation; the certificate keeps each gene only in its
-    lowest-index covering pair, so it is a partition.  Genomes over different
-    gene sets answer NO at once.  Raises SearchTimeoutError (not a NO answer)
-    once timeout_s seconds have passed, ValueError when timeout_s is NaN."""
+    lowest-index covering pair, so it is a partition.  The table of
+    intersection bitmasks is filled from the two genomes' gene -> chromosome
+    indexes, and only the witness pairing's blocks are built.  Genomes over
+    different gene sets answer NO at once.  Raises SearchTimeoutError (not a
+    NO answer) once timeout_s seconds have passed, ValueError when timeout_s
+    is NaN."""
     stop = deadline(timeout_s)
     if g1.ground_set != g2.ground_set:
         return SetDecision(False)
     k = max(len(g1.chromosomes), len(g2.chromosomes))
-    reduced = build_intersection_graph(g1, g2).reduced
     universe = sorted(g1.ground_set)
-    position = {f: x for x, f in enumerate(universe)}
     inter = [[0] * k for _ in range(k)]  # bitmask of each intersection over universe
-    for (i, j), block in reduced.items():
-        inter[i][j] = sum(1 << position[f] for f in block)
+    h1, h2 = g1.hosts, g2.hosts
+    for x, f in enumerate(universe):
+        bit = 1 << x
+        for i in h1[f]:
+            row = inter[i]
+            for j in h2[f]:
+                row[j] |= bit
     full = (1 << len(universe)) - 1
     scan = itertools.permutations(range(k))
     # the clock is read once per batch of 4096 pairings: a read per pairing,
@@ -157,10 +166,13 @@ def zed_set_fpt(
             for i in range(k):
                 acc |= inter[i][perm[i]]
             if acc == full:
+                # the shorter genome is padded by empty chromosomes
+                pad = (frozenset(),) * k
+                c1, c2 = g1.chromosomes + pad, g2.chromosomes + pad
                 covered: frozenset[int] = frozenset()
                 blocks = []
                 for i in range(k):
-                    mine = reduced.get((i, perm[i]), frozenset()) - covered
+                    mine = (c1[i] & c2[perm[i]]) - covered
                     covered |= mine
                     if mine:
                         blocks.append(mine)
@@ -196,18 +208,17 @@ def _supported_by(live: list[tuple[int, int]]):
     return supported
 
 
-def _search_inputs(g1: SetGenome, g2: SetGenome, graph: IntersectionGraph):
+def _search_inputs(g1: SetGenome, g2: SetGenome):
     """The genes in increasing order and, for backjump_search over them (item
     x is genes[x]), their domains, degrees and touches; None when some gene
-    has no covering pair."""
+    has no covering pair.  A gene's domain is its covering pairs in (i, j)
+    order, the product of its two ascending host tuples."""
     genes = sorted(g1.ground_set | g2.ground_set)
-    item = {g: x for x, g in enumerate(genes)}
-    cands: list[list[tuple[int, int]]] = [[] for _ in genes]
-    for pair, block in graph.reduced.items():  # in (i, j) order
-        for g in block:
-            cands[item[g]].append(pair)
+    h1, h2 = g1.hosts, g2.hosts
+    cands = [list(itertools.product(h1.get(g, ()), h2.get(g, ()))) for g in genes]
     if not all(cands):
         return None
+    item = {g: x for x, g in enumerate(genes)}
     # static degree: genes sharing a host chromosome interact
     degree = [0] * len(genes)
     for chrom in (*g1.chromosomes, *g2.chromosomes):
@@ -234,17 +245,17 @@ def zed_set_exact(
 
     Every gene must pick a covering chromosome pair (i, j) with the gene in
     both chromosomes, and the distinct chosen pairs must form a matching (no
-    chromosome index shared between different pairs).  Solved by the
-    forward-checking backjump search shared with the ordered solver, trying
-    pairs in (i, j) order; binding a pair filters only the genes that share a
-    chromosome with it.  From the first refuted pair on, the search also
-    revises arcs between pending genes through _supported_by, so that two
-    genes whose live pairs cannot agree show the conflict before either is
-    bound.  Raises SearchTimeoutError when the wall budget runs out, which is
-    reported distinctly from a NO answer.
+    chromosome index shared between different pairs); a gene's covering
+    pairs are read off the two genomes' gene -> chromosome indexes.  Solved
+    by the forward-checking backjump search shared with the ordered solver,
+    trying pairs in (i, j) order; binding a pair filters only the genes that
+    share a chromosome with it.  From the first refuted pair on, the search
+    also revises arcs between pending genes through _supported_by, so that
+    two genes whose live pairs cannot agree show the conflict before either
+    is bound.  Raises SearchTimeoutError when the wall budget runs out, which
+    is reported distinctly from a NO answer.
     """
-    graph = build_intersection_graph(g1, g2)
-    inputs = _search_inputs(g1, g2, graph)
+    inputs = _search_inputs(g1, g2)
     if inputs is None:
         return SetDecision(False)
     genes, domains, degree, touches = inputs
@@ -258,7 +269,8 @@ def zed_set_exact(
         groups.setdefault(p, set()).add(g)
     pairs = sorted(groups)
     cert = SetGenome(tuple(frozenset(groups[p]) for p in pairs))
-    total = sum(graph.weight(i, j) for i, j in pairs)
+    c1, c2 = g1.chromosomes, g2.chromosomes
+    total = sum(len(c1[i] & c2[j]) for i, j in pairs)
     return SetDecision(
         True, cert, witness_matching=Matching(frozenset(pairs), total)
     )
@@ -300,9 +312,11 @@ def _embeds_injectively(blocks: tuple[frozenset[int], ...], genome: SetGenome) -
     holds every gene of the blocks.
 
     A non-empty block's candidate hosts are those holding its rarest gene
-    that also pass the subset test; the blocks embed iff a maximum bipartite
-    matching (Hopcroft-Karp) covers every non-empty block and enough hosts are
-    left over for the empty ones."""
+    (the first gene with the fewest hosts, read off the gene -> chromosome
+    index; the scan stops at a gene with one host) that also pass the subset
+    test; the blocks embed iff a maximum bipartite matching (Hopcroft-Karp)
+    covers every non-empty block and enough hosts are left over for the empty
+    ones."""
     chromosomes = genome.chromosomes
     if len(blocks) > len(chromosomes):
         return False
@@ -310,7 +324,14 @@ def _embeds_injectively(blocks: tuple[frozenset[int], ...], genome: SetGenome) -
     adj = []  # the candidate hosts of each non-empty block
     for b in blocks:
         if b:
-            rare = min([hosts[f] for f in b], key=len)
+            rare: tuple[int, ...] = ()
+            for f in b:
+                held = hosts[f]
+                if len(held) == 1:
+                    rare = held
+                    break
+                if not rare or len(held) < len(rare):
+                    rare = held
             adj.append([h for h in rare if b <= chromosomes[h]])
     indices = [h for row in adj for h in row]
     indptr = np.cumsum([0, *map(len, adj)])

@@ -165,7 +165,8 @@ def seq_genome_views(genes) -> dict:
     occurrences = {}
     for g in genes:
         occurrences[abs(g)] = occurrences.get(abs(g), 0) + 1
-    return {"families": set(occurrences), "occurrences": occurrences}
+    duplicated = {f for f, c in occurrences.items() if c > 1}
+    return {"families": set(occurrences), "occurrences": occurrences, "duplicated": duplicated}
 
 
 def set_genome_views(chromosomes) -> dict:
@@ -174,7 +175,9 @@ def set_genome_views(chromosomes) -> dict:
     ground = {f for c in chromosomes for f in c}
     hosts = {f: tuple(h for h, c in enumerate(chromosomes) if f in c) for f in ground}
     occurrences = {f: len(h) for f, h in hosts.items()}
-    return {"hosts": hosts, "occurrences": occurrences, "ground_set": ground}
+    duplicated = {f for f, h in hosts.items() if len(h) > 1}
+    return {"hosts": hosts, "occurrences": occurrences, "ground_set": ground,
+            "duplicated": duplicated}
 
 
 def set_certificate_fault(g1, g2, cert) -> str | None:

@@ -93,7 +93,8 @@ def test_views_are_read_only_and_not_pickled():
     for view in (s.occurrences, g.occurrences, g.hosts):
         with pytest.raises(TypeError):
             view[1] = 5
-    assert isinstance(s.families, frozenset) and isinstance(g.ground_set, frozenset)
+    for view in (s.families, s.duplicated, g.ground_set, g.duplicated):
+        assert isinstance(view, frozenset)
     for genome in (s, g):
         copy = pickle.loads(pickle.dumps(genome))
         assert copy == genome and "occurrences" not in vars(copy)

@@ -37,7 +37,7 @@ from zedkit import seq, sets
 from zedkit.generate import SplitMix64, random_cnf, random_seq_pair
 from zedkit.search import backjump_search
 from zedkit.seq import _non_crossing
-from zedkit.sets import _disjoint_pairs, build_intersection_graph
+from zedkit.sets import _disjoint_pairs
 
 
 def colouring(edges, n_items, n_colours):
@@ -207,7 +207,7 @@ def test_kernel_keeps_the_reference_trace_when_keep_returns_its_input(case):
 def test_kernel_keeps_the_reference_trace_with_revise_on_reductions(seed):
     formula = random_cnf(seed, 8, 40, distinct_vars=True)
     g1, g2, _ = reduce_3sat_to_set_zed(formula)
-    _, domains, degree, touches = sets._search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    _, domains, degree, touches = sets._search_inputs(g1, g2)
     shrinks = assert_reference_trace(domains, degree, _disjoint_pairs, touches,
                                      sets._supported_by)
     # some shrink came from a revise filter, whose log entries are triples
@@ -219,7 +219,7 @@ def test_kernel_keeps_the_reference_trace_with_revise_on_reductions(seed):
 def test_kernel_keeps_the_reference_trace_on_reductions(seed):
     formula = random_cnf(seed, 8, 40, distinct_vars=True)
     g1, g2, _ = reduce_3sat_to_set_zed(formula)
-    _, domains, degree, touches = sets._search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    _, domains, degree, touches = sets._search_inputs(g1, g2)
     assert_reference_trace(domains, degree, _disjoint_pairs, touches)
     g1, g2, _ = reduce_3sat_to_seq_zed(formula)
     _, domains, degree, touches = seq._search_inputs(g1, g2)
@@ -287,7 +287,7 @@ def test_touches_keeps_the_toy_search_trace(edges, n_items, n_colours, answer):
 @pytest.mark.parametrize("seed", range(5))
 def test_touches_keeps_the_set_reduction_trace(seed):
     g1, g2, _ = reduce_3sat_to_set_zed(random_cnf(seed, 8, 40, distinct_vars=True))
-    genes, domains, degree, touches = sets._search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    genes, domains, degree, touches = sets._search_inputs(g1, g2)
     (full, everything), (near, touched) = both_runs(domains, degree, _disjoint_pairs, touches)
     assert near == full
     assert touched.shrinks == everything.shrinks
@@ -296,7 +296,7 @@ def test_touches_keeps_the_set_reduction_trace(seed):
 
 def test_set_touches_name_every_gene_a_pair_can_rule_out():
     g1, g2, _ = reduce_3sat_to_set_zed(random_cnf(0, 4, 6, distinct_vars=True))
-    genes, domains, degree, touches = sets._search_inputs(g1, g2, build_intersection_graph(g1, g2))
+    genes, domains, degree, touches = sets._search_inputs(g1, g2)
     for pair in {c for d in domains for c in d}:
         near = touches(pair)
         assert near == sorted(set(near))

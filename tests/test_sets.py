@@ -28,12 +28,12 @@ from zedkit.model import NO_EMBEDDING_IN_G1, NO_EMBEDDING_IN_G2, NOT_PARTITION
 def test_intersection_graph_worked_row():
     graph = build_intersection_graph(SET_G1, SET_G2)
     assert [graph.weight(0, j) for j in range(4)] == [2, 2, 1, 1]
-    assert graph.reduced[(0, 0)] == frozenset({1, 2})
+    assert list(graph.weights.items())[:4] == [((0, 0), 2), ((0, 1), 2), ((0, 2), 1), ((0, 3), 1)]
 
 
 def test_intersection_graph_edge_cases():
     graph = build_intersection_graph(SetGenome.of({1, 2}), SetGenome.of({3}))
-    assert graph.weight(0, 0) == 0 and (0, 0) not in graph.reduced
+    assert graph.weight(0, 0) == 0 and (0, 0) not in graph.weights
     graph = build_intersection_graph(SetGenome.of({1, 2, 3}), SetGenome.of({1, 2, 3}))
     assert graph.weight(0, 0) == 3
 
@@ -55,8 +55,8 @@ def test_intersection_graph_matches_all_pairs_oracle(seed):
     g1, g2 = _with_empty_chromosomes(rng, g1), _with_empty_chromosomes(rng, g2)
     graph = build_intersection_graph(g1, g2)
     expected = oracles.chromosome_intersections(g1.chromosomes, g2.chromosomes)
-    assert graph.reduced == expected
-    assert list(graph.reduced) == sorted(graph.reduced)
+    assert graph.weights == {pair: len(block) for pair, block in expected.items()}
+    assert list(graph.weights) == sorted(graph.weights)
     assert (graph.left_size, graph.right_size) == (len(g1), len(g2))
     for i in range(len(g1)):
         for j in range(len(g2)):
@@ -97,7 +97,7 @@ def test_matching_is_optimal_by_enumeration(seed):
 def test_matching_beats_every_single_edge():
     graph = build_intersection_graph(SET_G1, SET_G2)
     best = max_weight_bipartite_matching(graph).total_weight
-    for pair in graph.reduced:
+    for pair in graph.weights:
         assert best >= graph.weight(*pair)
 
 
@@ -252,6 +252,11 @@ def test_three_way_agreement_on_special_instances(seed):
     for dec in (a, b, c):
         if dec.answer:
             assert verify_set_certificate(g1, g2, dec.certificate).ok
+    if a.answer:
+        # the matching's blocks are its witness pairs' intersections, in pair order
+        blocks = oracles.chromosome_intersections(g1.chromosomes, g2.chromosomes)
+        assert a.certificate.chromosomes == tuple(
+            blocks[p] for p in sorted(a.witness_matching.pairs))
 
 
 @pytest.mark.parametrize("seed", range(80))
