@@ -5,6 +5,11 @@ Formats by convention: .seq (ordered genome, signed integer tokens), .set
 empty chromosome), .cnf (DIMACS subset restricted to three-literal clauses),
 .tsv (gene name table).  Every rejection raises ParseError carrying one
 diagnostic with a stable code plus 1-based line and column.
+
+Both genome parsers share one line reader: a line that is ASCII, holds no
+"_" and, in .set, no sign is converted by int() and checked by builtins;
+any other line, or one that fails the check, is walked token by token from
+its first offending token, which the walk names.
 """
 
 from __future__ import annotations
@@ -29,16 +34,6 @@ DUPLICATE_FAMILY = "DuplicateFamily"
 _TOKEN = re.compile(r"\S+")
 _SIGNED_INT = re.compile(r"[+-]?[0-9]+\Z")
 _UNSIGNED_INT = re.compile(r"[0-9]+\Z")
-# The longest prefix of a data line made of ASCII integer tokens of at most
-# 10 digits (as many as MAX_FAMILY has), each followed by white space or the
-# end, so that int() takes every one of them as it is.  The match stops at
-# the first other token and never backtracks into the tokens before it.
-_SEQ_TOKENS = re.compile(r"(?:\s*[+-]?[0-9]{1,10}(?=\s|\Z))*\s*", re.ASCII)
-_SET_TOKENS = re.compile(r"(?:\s*[0-9]{1,10}(?=\s|\Z))*\s*", re.ASCII)
-# A .set text of ASCII digits, spaces, tabs and newlines alone: no comment,
-# "-" line, sign or other character, and str.split("\n") breaks it into the
-# lines str.splitlines() gives.
-_CLEAN_SET = re.compile(r"[0-9 \t\n]*\Z")
 
 
 def _fail(line: int, column: int, code: str, message: str):
@@ -66,54 +61,6 @@ def _gene(tok: str, pattern: re.Pattern, line: int, column: int, what: str) -> i
     return value
 
 
-def _line_genes(line: str, lineno: int, fast: re.Pattern, pattern: re.Pattern, what: str,
-                *, distinct: bool = False):
-    """The genes of one data line: a list in reading order, or with distinct
-    a frozenset in which no family may repeat.
-
-    The tokens of the prefix that fast matches are converted and checked by
-    builtins.  The token walk takes the rest of the line, or the line from
-    the first prefix gene that is out of range or repeats a family; it
-    raises the diagnostic of the first offending token."""
-    end = fast.match(line).end()
-    tokens = line[:end].split()
-    genes, k = _checked_genes(tokens, distinct)
-    if k < len(tokens):
-        # maxsplit leaves the line from token k on, its lead stripped
-        end = len(line) - len(line.split(None, k)[-1])
-    if end == len(line):
-        return genes
-    walked = list(genes)
-    seen = set(genes) if distinct else None
-    for match in _TOKEN.finditer(line, end):
-        col = match.start() + 1
-        value = _gene(match.group(), pattern, lineno, col, what)
-        if distinct:
-            if value in seen:
-                _fail(lineno, col, DUPLICATE_IN_CHROMOSOME, f"family {value} repeated in one chromosome")
-            seen.add(value)
-        walked.append(value)
-    return frozenset(walked) if distinct else walked
-
-
-def _checked_genes(tokens: list[str], distinct: bool):
-    """(genes, k): the first k tokens as genes (with distinct a frozenset,
-    else a list), k being the index of the first token that is 0, beyond
-    MAX_FAMILY or, with distinct, repeats a family (len(tokens) if none is).
-    A line of good genes is checked by builtins alone."""
-    values = list(map(int, tokens))
-    genes = frozenset(values) if distinct else values
-    if not values or (len(genes) == len(values) and 0 not in genes
-                      and min(genes) >= -MAX_FAMILY and max(genes) <= MAX_FAMILY):
-        return genes, len(values)
-    seen: set[int] = set()
-    for k, g in enumerate(values):
-        if not 0 < abs(g) <= MAX_FAMILY or distinct and g in seen:
-            break
-        seen.add(g)
-    return values[:k], k
-
-
 def _text(data) -> str:
     if not isinstance(data, (bytes, bytearray)):
         return data
@@ -125,21 +72,101 @@ def _text(data) -> str:
               f"byte 0x{data[exc.start]:02x} is not valid UTF-8")
 
 
-def _data_lines(text: str, comment: str = "#"):
-    """(lineno, line) for non-blank, non-comment lines."""
+def _plain(s: str, ordered: bool) -> bool:
+    """Whether s is ASCII with no "_" and, in .set, no sign: int() then reads
+    each token of s exactly as _SIGNED_INT (.seq) or _UNSIGNED_INT (.set)
+    would, or refuses it.  _genome_lines inlines this test for its lines: a
+    call per line costs about 2% of a .set parse."""
+    return s.isascii() and "_" not in s and (ordered or "+" not in s and "-" not in s)
+
+
+def _genome_lines(data, ordered: bool):
+    """The genes of each data line of a .seq text (ordered) as a list, or
+    the chromosome of each data line of a .set text as a frozenset.
+
+    Each line is split once.  A plain line (see _plain; every line is when
+    the whole text is) is converted by int() and its genes are checked by
+    builtins.  Any other line is skipped when blank or when its first token
+    starts with "#" (which int() never converts); in .set a line holding
+    only "-" is an empty chromosome; _walk_line reads the rest."""
+    text = _text(data)
+    all_plain = _plain(text, ordered)
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(comment):
+        tokens = line.split()
+        if not tokens:
             continue
-        yield lineno, line
+        plain = all_plain or (line.isascii() and "_" not in line
+                              and (ordered or "+" not in line and "-" not in line))
+        try:
+            if plain and ordered:
+                values = []  # on ValueError, the genes before the refused token
+                values.extend(map(int, tokens))
+                if 0 not in values and min(values) >= -MAX_FAMILY and max(values) <= MAX_FAMILY:
+                    yield values
+                    continue
+            elif plain:
+                genes = frozenset(map(int, tokens))
+                if len(genes) == len(tokens) and 0 not in genes and max(genes) <= MAX_FAMILY:
+                    yield genes
+                    continue
+        except ValueError:
+            pass
+        if tokens[0][0] == "#":
+            continue
+        if not ordered and tokens == ["-"]:
+            yield frozenset()
+            continue
+        yield _walk_line(line, lineno, tokens, values if plain and ordered else [], ordered)
+
+
+def _walk_line(line: str, lineno: int, tokens: list[str], values: list[int], ordered: bool):
+    """The genes of a data line that _genome_lines refused; values holds the
+    genes it converted from the line's first tokens (a plain .seq line).
+
+    The tokens up to the first one that is not plain or that int() refuses,
+    and up to the first gene that is 0, beyond MAX_FAMILY or (in .set)
+    repeats a family, are kept as converted; the token walk reads the line
+    from there and raises the diagnostic of its first offending token."""
+    k = len(tokens) if _plain(line, ordered) else next(
+        (i for i, tok in enumerate(tokens) if not _plain(tok, ordered)), len(tokens))
+    try:
+        # CPython's list.extend keeps the items appended before its iterator
+        # raised, so values ends before the first token int() refuses
+        values.extend(map(int, tokens[len(values):k]))
+    except ValueError:
+        pass
+    seen: set[int] = set()
+    for k, g in enumerate(values):
+        if not 0 < abs(g) <= MAX_FAMILY or g in seen:
+            break
+        if not ordered:
+            seen.add(g)
+    else:
+        k = len(values)
+    genes = values[:k]
+    if k < len(tokens):
+        pattern = _SIGNED_INT if ordered else _UNSIGNED_INT
+        what = "a signed integer" if ordered else "a positive integer"
+        # the line up to the end of token k - 1: rsplit splits only the
+        # tokens after it, so a bad last token costs no second split
+        start = len(line.rsplit(None, len(tokens) - k)[0]) if k else 0
+        for match in _TOKEN.finditer(line, start):
+            col = match.start() + 1
+            value = _gene(match.group(), pattern, lineno, col, what)
+            if value in seen:
+                _fail(lineno, col, DUPLICATE_IN_CHROMOSOME, f"family {value} repeated in one chromosome")
+            if not ordered:
+                seen.add(value)
+            genes.append(value)
+    return genes if ordered else frozenset(genes)
 
 
 def parse_seq_genome(data) -> SeqGenome:
     """Signed integer tokens over any number of lines; '#' starts a comment
     line; token 0 is rejected; empty input is rejected."""
     genes: list[int] = []
-    for lineno, line in _data_lines(_text(data)):
-        genes += _line_genes(line, lineno, _SEQ_TOKENS, _SIGNED_INT, "a signed integer")
+    for line_genes in _genome_lines(data, ordered=True):
+        genes += line_genes
     if not genes:
         _fail(1, 1, EMPTY_INPUT, "no genes in input")
     return SeqGenome._trusted(tuple(genes))
@@ -155,40 +182,7 @@ def emit_seq_genome(genome: SeqGenome) -> str:
 def parse_set_genome(data) -> SetGenome:
     """One chromosome per non-comment line of positive integer tokens; a line
     holding only '-' is an explicitly empty chromosome."""
-    text = _text(data)
-    chromosomes = _clean_set_chromosomes(text)
-    if chromosomes is None:
-        chromosomes = []
-        for lineno, line in _data_lines(text):
-            if line.strip() == "-":
-                chromosomes.append(frozenset())
-            else:
-                chromosomes.append(_line_genes(line, lineno, _SET_TOKENS, _UNSIGNED_INT,
-                                               "a positive integer", distinct=True))
-    return SetGenome._trusted(tuple(chromosomes))
-
-
-def _clean_set_chromosomes(text: str) -> list[frozenset[int]] | None:
-    """The chromosomes of a .set text of ASCII digits, spaces, tabs and
-    newlines, converted in one pass.  None when the text holds any other
-    character, or a line repeats a family or holds 0, a family past
-    MAX_FAMILY or a token too long for int(): the line walk then reads the
-    text and raises the diagnostic."""
-    if not _CLEAN_SET.match(text):
-        return None
-    chromosomes = []
-    for line in text.split("\n"):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            c = frozenset(map(int, tokens))
-        except ValueError:
-            return None
-        if len(c) != len(tokens) or 0 in c or max(c) > MAX_FAMILY:
-            return None
-        chromosomes.append(c)
-    return chromosomes
+    return SetGenome._trusted(tuple(_genome_lines(data, ordered=False)))
 
 
 def parse_family_ids(text: str) -> list[int]:
@@ -215,9 +209,11 @@ def parse_dimacs3(data) -> CnfFormula:
     pending: list[Literal] = []
     pending_at: tuple[int, int] | None = None
     last_line = 1
-    for lineno, line in _data_lines(_text(data), comment="c"):
-        last_line = lineno
+    for lineno, line in enumerate(_text(data).splitlines(), start=1):
         stripped = line.strip()
+        if not stripped or stripped.startswith("c"):
+            continue
+        last_line = lineno
         if stripped.startswith("p"):
             if header is not None:
                 _fail(lineno, line.find("p") + 1, BAD_HEADER, "duplicate header")
@@ -281,7 +277,8 @@ def parse_name_table(data) -> GeneNameTable:
         if len(parts) != 2:
             _fail(lineno, 1, MALFORMED_TOKEN, "expected 'family<TAB>role'")
         fam_str, role = parts
-        fam = _gene(fam_str.strip(), _UNSIGNED_INT, lineno, 1, "a family id")
+        column = len(fam_str) - len(fam_str.lstrip()) + 1
+        fam = _gene(fam_str.strip(), _UNSIGNED_INT, lineno, column, "a family id")
         if not role:
             _fail(lineno, len(fam_str) + 2, MALFORMED_TOKEN, "empty role name")
         if fam in roles or role in seen_roles:

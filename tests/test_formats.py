@@ -15,7 +15,6 @@ from zedkit.formats import (
     MALFORMED_TOKEN,
     VAR_OUT_OF_RANGE,
     ZERO_GENE,
-    _clean_set_chromosomes,
     emit_dimacs3,
     emit_name_table,
     emit_seq_genome,
@@ -113,6 +112,15 @@ def test_name_table_empty_and_errors():
 def test_name_table_refuses_family_ids_the_genome_parsers_refuse():
     assert diagnostic(parse_name_table, "0\tx_1").code == ZERO_GENE
     assert diagnostic(parse_name_table, "2147483648\tx_1").code == MALFORMED_TOKEN
+
+
+@pytest.mark.parametrize(
+    "text, column, code",
+    [("  x\tr_1", 3, MALFORMED_TOKEN), (" 0\tz", 2, ZERO_GENE)],
+)
+def test_name_table_names_the_column_of_a_bad_family_id(text, column, code):
+    d = diagnostic(parse_name_table, text)
+    assert ((d.line, d.column), d.code) == ((1, column), code)
 
 
 def test_canonical_seq_emission():
@@ -227,12 +235,14 @@ def test_parsers_accept_or_raise_a_located_diagnostic(parse, data):
 
 
 # Fragments that probe the line check of the genome parsers: tokens it must
-# leave to the token walk, separators that are white space to str.split() but
-# not to an ASCII pattern, and characters that str.splitlines() breaks on.
+# leave to the token walk (a signed token inside a .set line among them),
+# separators that are white space to str.split() but not to an ASCII pattern
+# (U+001F, which str.splitlines() does not break on, and non-ASCII white
+# space between ASCII tokens), and characters that str.splitlines() breaks on.
 line_probes = st.sampled_from(
     ["1-2", "1+2", "1_0", "٣", "１", "00000000001", "2147483648", "-2147483647",
-     "2147483647", "\x0b", "\x1c", "\u00a0", "\u2028", "1 # 2", "\n  # note\n", "\n-\n",
-     " - ", "7", "8 9", "3 3", "\n"]
+     "2147483647", "\x0b", "\x1c", "\x1f", "\u00a0", "\u2003", "\u3000", "\u2028", "1 # 2",
+     "\n  # note\n", "\n-\n", " - ", " +1 ", " -1 ", "7", "8 9", "3 3", "\n"]
 )
 genome_lines = st.lists(
     st.lists(st.sampled_from(["1", "2", "3", "45", "7", "8", "9", "10", "2147483647", "0000000006"]),
@@ -245,6 +255,30 @@ genome_lines = st.lists(
 bad_genes = st.sampled_from(
     [" 0", " -0", " 00", " 2147483648", " -2147483648", " 1", " 7 7", " 8 0", " 9 0 x"]
 )
+# .set texts of rows of ASCII tokens separated by spaces and tabs, some with
+# a comment, a " - " line, "\r" line ends, a repeated family, a 0 or an
+# 11-digit token inserted; the .set parser reads each with "\n" and with
+# "\r\n" line breaks.
+set_rows = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(["1", "2", "3", "45", "7", "2147483647", "0000000006"]),
+                 min_size=1, max_size=4, unique=True),
+        st.sampled_from([" ", "\t", "  ", " \t"]),
+    ).map(lambda t: t[1].join(t[0])),
+    min_size=1, max_size=4,
+)
+SET_ROW_EDITS = {
+    "none": lambda rows, at: rows,
+    "comment": lambda rows, at: rows[:at] + ["# note 0 x"] + rows[at:],
+    "dash": lambda rows, at: rows[:at] + [" - "] + rows[at:],
+    "cr": lambda rows, at: [row + "\r" for row in rows],
+    "repeat": lambda rows, at: rows[:-1] + [rows[-1] + " " + rows[-1].split()[0]],
+    "zero": lambda rows, at: rows[:at] + [rows[at % len(rows)] + " 0"] + rows[at + 1:],
+    "eleven": lambda rows, at: rows[:-1] + [rows[-1] + " 21474836470"],
+}
+set_texts = st.tuples(
+    set_rows, st.sampled_from(list(SET_ROW_EDITS)), st.integers(0, 3), st.sampled_from(["", "\n"])
+).map(lambda t: "\n".join(SET_ROW_EDITS[t[1]](t[0], t[2])) + t[3])
 genome_inputs = st.one_of(
     parser_inputs,
     st.lists(st.one_of(fragments, line_probes), max_size=30).map("".join),
@@ -270,41 +304,11 @@ def test_genome_parsers_match_the_reference_parser(parse, ordered, data):
     assert _outcome(parse, data, ordered) == oracles.parse_genome_reference(data, ordered)
 
 
-# .set texts for both readers of parse_set_genome, as (text, whether the
-# one-pass conversion takes it).  Lines of ASCII digits, spaces and tabs are
-# converted in one pass; a comment, a "-" line, "\r\n" line breaks, a repeated
-# family, a 0 or an 11-digit token on the last line send the text to the
-# line walk.
-set_rows = st.lists(
-    st.tuples(
-        st.lists(st.sampled_from(["1", "2", "3", "45", "7", "2147483647", "0000000006"]),
-                 min_size=1, max_size=4, unique=True),
-        st.sampled_from([" ", "\t", "  ", " \t"]),
-    ).map(lambda t: t[1].join(t[0])),
-    min_size=1, max_size=4,
-)
-WALK_TRIGGERS = {
-    None: lambda rows, at: rows,
-    "comment": lambda rows, at: rows[:at] + ["# note 0 x"] + rows[at:],
-    "dash": lambda rows, at: rows[:at] + [" - "] + rows[at:],
-    "crlf": lambda rows, at: [row + "\r" for row in rows],
-    "repeat": lambda rows, at: rows[:-1] + [rows[-1] + " " + rows[-1].split()[0]],
-    "zero": lambda rows, at: rows[:at] + [rows[at % len(rows)] + " 0"] + rows[at + 1:],
-    "eleven": lambda rows, at: rows[:-1] + [rows[-1] + " 21474836470"],
-}
-set_texts = st.tuples(
-    set_rows, st.sampled_from(list(WALK_TRIGGERS)), st.integers(0, 3), st.sampled_from(["", "\n"])
-).map(lambda t: ("\n".join(WALK_TRIGGERS[t[1]](t[0], t[2])) + t[3], t[1] is None))
-
-
-@given(case=set_texts)
+@given(text=set_texts)
 @settings(max_examples=300)
-def test_both_set_parser_paths_match_the_reference_parser(case):
-    text, one_pass = case
-    assert (_clean_set_chromosomes(text) is not None) == one_pass
+def test_both_set_parser_paths_match_the_reference_parser(text):
     expected = oracles.parse_genome_reference(text, False)
     assert _outcome(parse_set_genome, text, False) == expected
-    # the same lines with "\r\n" breaks, which always take the line walk
+    # the same lines with "\r\n" breaks
     crlf = text.replace("\r\n", "\n").replace("\n", "\r\n") + "\r\n"
-    assert _clean_set_chromosomes(crlf) is None
     assert _outcome(parse_set_genome, crlf, False) == expected
