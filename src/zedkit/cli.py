@@ -1,12 +1,12 @@
 """Batch command-line front end.
 
 Subcommands: solve-seq, solve-set, elcs, reduce, verify, sat, gen, selftest,
-bench.  solve-seq and solve-set share one command, and --timeout is the only
-bound on their searches; elcs takes the same --timeout for its oracle, and
-sat for its scan.  Exit codes: 0 yes/feasible, 1 no/infeasible, 2 usage or
-parse error, 3 precondition violation, 4 search timeout, size cap or memory
-exhausted.  Verdicts go to stdout, diagnostics to stderr; --report appends
-one JSON object per run.
+bench.  solve-seq and solve-set share one command.  --timeout is the only
+bound on their searches and on sat's scan; elcs takes the same --timeout for
+its oracle, next to the oracle's --max-mandatory cap.  Exit codes: 0
+yes/feasible, 1 no/infeasible, 2 usage or parse error, 3 precondition
+violation, 4 search timeout, elcs cap or memory exhausted.  Verdicts go to
+stdout, diagnostics to stderr; --report appends one JSON object per run.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .formats import (
 from .generate import random_cnf, random_seq_pair, random_set_pair
 from .model import Alphabet, SeqGenome, SetGenome, classify_instance, verify_seq_certificate
 from .sat import (
-    DEFAULT_MAX_VARS,
     CnfFormula,
     brute_force_sat,
     reduce_3sat_to_seq_zed,
@@ -194,7 +193,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sat(args) -> int:
     phi = parse_dimacs3(_read(args.cnf))
-    sigma = brute_force_sat(phi, max_vars=args.max_vars, timeout_s=args.timeout)
+    sigma = brute_force_sat(phi, timeout_s=args.timeout)
     if sigma is None:
         print("UNSAT")
         return EXIT_NO
@@ -326,6 +325,10 @@ def _bench_scenarios():
     texts = emit_set_genome(t1), emit_set_genome(t2)
     yield ("set special k=2000 from text", 4.1,
            functools.partial(_set_special_from_text, *texts), "NO")
+    # the parse alone: comparing the genomes would take nearly as long
+    yield ("parse set k=2000 texts", 0.17,
+           lambda: [parse_set_genome(text).total_genes() for text in texts],
+           [t1.total_genes(), t2.total_genes()])
 
     # genes 1 and 2 share a left chromosome but no right one, so every one of
     # the 8! pairings is scanned before answering NO
@@ -408,6 +411,10 @@ def _bench_scenarios():
     s24 = random_cnf(2, 24, 110, distinct_vars=True)
     yield ("brute force SAT n=24 m=110 UNSAT", 0.1,
            lambda: "UNSAT" if brute_force_sat(s24) is None else "SAT", "UNSAT")
+    # 2^32 assignments: no size cap may refuse a scan that the budget allows
+    s32 = random_cnf(2, 32, 145, distinct_vars=True)
+    yield ("brute force SAT n=32 m=145 UNSAT", 3.6,
+           lambda: "UNSAT" if brute_force_sat(s32) is None else "SAT", "UNSAT")
 
 
 def _cmd_bench(args) -> int:
@@ -497,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat", help="brute-force satisfiability of a 3-CNF formula")
     p.add_argument("cnf")
-    p.add_argument("--max-vars", type=_positive_int, default=DEFAULT_MAX_VARS)
     p.add_argument("--timeout", type=_finite_seconds, default=DEFAULT_TIMEOUT_S,
                    help="wall budget for the scan (s)")
     p.set_defaults(func=_cmd_sat)

@@ -8,8 +8,8 @@ diagnostic with a stable code plus 1-based line and column.
 
 Both genome parsers share one line reader: a line that is ASCII, holds no
 "_" and, in .set, no sign is converted by int() and checked by builtins;
-any other line, or one that fails the check, is walked token by token from
-its first offending token, which the walk names.
+any other line, or one that fails the check, is converted up to its first
+offending token, which is the one the diagnostic names.
 """
 
 from __future__ import annotations
@@ -123,10 +123,11 @@ def _walk_line(line: str, lineno: int, tokens: list[str], values: list[int], ord
     """The genes of a data line that _genome_lines refused; values holds the
     genes it converted from the line's first tokens (a plain .seq line).
 
-    The tokens up to the first one that is not plain or that int() refuses,
-    and up to the first gene that is 0, beyond MAX_FAMILY or (in .set)
-    repeats a family, are kept as converted; the token walk reads the line
-    from there and raises the diagnostic of its first offending token."""
+    The tokens before the first one that is not plain, that int() refuses,
+    or whose gene is 0, beyond MAX_FAMILY or (in .set) a repeat are kept as
+    converted.  Any token left is the line's first offending one: _gene
+    refuses it, or else it is a .set repeat.  A line with none (one with
+    non-ASCII white space) gives its genes."""
     k = len(tokens) if _plain(line, ordered) else next(
         (i for i, tok in enumerate(tokens) if not _plain(tok, ordered)), len(tokens))
     try:
@@ -143,22 +144,17 @@ def _walk_line(line: str, lineno: int, tokens: list[str], values: list[int], ord
             seen.add(g)
     else:
         k = len(values)
-    genes = values[:k]
-    if k < len(tokens):
-        pattern = _SIGNED_INT if ordered else _UNSIGNED_INT
-        what = "a signed integer" if ordered else "a positive integer"
-        # the line up to the end of token k - 1: rsplit splits only the
-        # tokens after it, so a bad last token costs no second split
-        start = len(line.rsplit(None, len(tokens) - k)[0]) if k else 0
-        for match in _TOKEN.finditer(line, start):
-            col = match.start() + 1
-            value = _gene(match.group(), pattern, lineno, col, what)
-            if value in seen:
-                _fail(lineno, col, DUPLICATE_IN_CHROMOSOME, f"family {value} repeated in one chromosome")
-            if not ordered:
-                seen.add(value)
-            genes.append(value)
-    return genes if ordered else frozenset(genes)
+    if k == len(tokens):
+        return values if ordered else frozenset(values)
+    # the line up to the end of token k - 1: rsplit splits only the tokens
+    # after it, so a bad last token costs no second split
+    start = len(line.rsplit(None, len(tokens) - k)[0]) if k else 0
+    match = _TOKEN.search(line, start)
+    col = match.start() + 1
+    pattern = _SIGNED_INT if ordered else _UNSIGNED_INT
+    what = "a signed integer" if ordered else "a positive integer"
+    value = _gene(match.group(), pattern, lineno, col, what)
+    _fail(lineno, col, DUPLICATE_IN_CHROMOSOME, f"family {value} repeated in one chromosome")
 
 
 def parse_seq_genome(data) -> SeqGenome:
@@ -282,7 +278,8 @@ def parse_name_table(data) -> GeneNameTable:
         if not role:
             _fail(lineno, len(fam_str) + 2, MALFORMED_TOKEN, "empty role name")
         if fam in roles or role in seen_roles:
-            _fail(lineno, 1, DUPLICATE_FAMILY, f"duplicate entry for {fam}/{role}")
+            _fail(lineno, column if fam in roles else len(fam_str) + 2, DUPLICATE_FAMILY,
+                  f"duplicate entry for {fam}/{role}")
         roles[fam] = role
         seen_roles.add(role)
     return GeneNameTable(roles)

@@ -10,7 +10,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import CapExceededError, PreconditionViolatedError
+from .errors import PreconditionViolatedError
 from .model import SeqGenome, SetGenome, verify_seq_certificate
 from .search import DEFAULT_TIMEOUT_S, deadline, timeout_error
 from .sets import verify_set_certificate
@@ -67,7 +67,6 @@ def eval_assignment(phi: CnfFormula, sigma: Assignment) -> bool:
     return all(any(sigma[l.variable] == l.positive for l in cl) for cl in phi.clauses)
 
 
-DEFAULT_MAX_VARS = 24  # brute_force_sat's cap: 2^24 assignments
 _LOW_VARS = 16  # variables evaluated together: a block of 2^16 codes, 8 KB per column
 
 
@@ -85,9 +84,7 @@ def _columns(low: int) -> list[int]:
     return columns
 
 
-def brute_force_sat(
-    phi: CnfFormula, *, max_vars: int = DEFAULT_MAX_VARS, timeout_s: float = DEFAULT_TIMEOUT_S
-) -> Assignment | None:
+def brute_force_sat(phi: CnfFormula, *, timeout_s: float = DEFAULT_TIMEOUT_S) -> Assignment | None:
     """First satisfying assignment in a fixed enumeration order, or None.
 
     Assignments are scanned as counters 0 .. 2^n - 1 with bit i-1 giving the
@@ -102,13 +99,10 @@ def brute_force_sat(
     ANDed once per call; a block costs one AND per other clause that its
     constants leave open, on 8 KB ints, so 2^24 codes take 256 blocks.
 
-    Raises CapExceededError when n exceeds max_vars, and SearchTimeoutError
-    once timeout_s seconds have passed (the clock is read once per block),
-    ValueError when timeout_s is NaN.
+    Raises SearchTimeoutError once timeout_s seconds have passed (the clock
+    is read once per block), ValueError when timeout_s is NaN.
     """
     n = phi.n_vars
-    if n > max_vars:
-        raise CapExceededError(f"{n} variables exceeds the cap of {max_vars}")
     stop = deadline(timeout_s)
     low = min(n, _LOW_VARS)
     columns = _columns(low)

@@ -273,8 +273,9 @@ def test_criterion_10_complexity_smoke():
     assert brute_force_sat(COMPLETE_UNSAT_N3) is None
     thirty = [brute_force_sat(random_cnf(seed, 3, 30)) is not None for seed in range(5)]
     assert thirty == [False, True, False, False, False]
-    # 19 DPLL nodes for the n=20 formula, 39 for the n=24 one, 165 for the n=40 one
-    for seed, n, m in (1, 12, 60), (2, 20, 90), (2, 24, 110), (0, 40, 180):
+    # 19 DPLL nodes for the n=20 formula, 39 for the n=24 one, 45 for the n=32
+    # one, 165 for the n=40 one
+    for seed, n, m in (1, 12, 60), (2, 20, 90), (2, 24, 110), (2, 32, 145), (0, 40, 180):
         phi = random_cnf(seed, n, m, distinct_vars=True)
         clauses = [[lit.variable if lit.positive else -lit.variable for lit in cl] for cl in phi.clauses]
         assert oracles.dpll_sat(phi.n_vars, clauses)[0] is None

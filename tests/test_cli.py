@@ -18,6 +18,7 @@ from zedkit.formats import (
     parse_seq_genome,
     parse_set_genome,
 )
+from zedkit.generate import random_cnf
 from zedkit.selftest import run_selftest
 
 
@@ -105,7 +106,7 @@ def test_solve_seq_refutes_a_55_family_reduction_by_default(tmp_path, capsys):
     assert capsys.readouterr().out == "NO exact\n"
 
 
-def test_solve_seq_report(seq_files, tmp_path):
+def test_solve_seq_report(seq_files, tmp_path, capsys):
     report = tmp_path / "report.jsonl"
     assert main(["solve-seq", *seq_files, "--report", str(report)]) == 0
     record = json.loads(report.read_text().splitlines()[0])
@@ -114,6 +115,12 @@ def test_solve_seq_report(seq_files, tmp_path):
     assert record["algorithm"] == "exact"
     assert record["elapsed_ms"] >= 0
     assert record["witness"]
+    # "-" prints the same record as one line after the verdict
+    capsys.readouterr()
+    assert main(["solve-seq", *seq_files, "--report", "-"]) == 0
+    verdict, line = capsys.readouterr().out.splitlines()
+    assert verdict == "YES exact"
+    assert {**json.loads(line), "elapsed_ms": 0} == {**record, "elapsed_ms": 0}
 
 
 def test_solve_set_worked_example(set_files, tmp_path, capsys):
@@ -173,9 +180,11 @@ def test_elcs_worked_pair(tmp_path, capsys):
     b = tmp_path / "b.seq"
     a.write_text("1 2 4 2 3 5 4 5\n")
     b.write_text("1 1 4 2 4 4 3 5 5 5\n")
-    assert main(["elcs", str(a), str(b), "--mandatory", "1,2,3"]) == 0
+    best = tmp_path / "best.seq"
+    assert main(["elcs", str(a), str(b), "--mandatory", "1,2,3", "--out", str(best)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("FEASIBLE 6")
+    assert best.read_text() == out.splitlines()[1] + "\n"
     assert main(["elcs", str(a), str(b), "--mandatory", "1,2,3", "--mode", "oracle"]) == 0
 
 
@@ -308,16 +317,25 @@ def test_sat_command(tmp_path, data_dir, capsys):
     unsat = tmp_path / "unsat.cnf"
     unsat.write_text("p cnf 1 2\n1 1 1 0\n-1 -1 -1 0\n")
     assert main(["sat", str(unsat)]) == 1
+    assert capsys.readouterr().out == "UNSAT\n"
     big = tmp_path / "big.cnf"
     big.write_text("p cnf 30 0\n")
-    assert main(["sat", str(big)]) == 4
+    assert main(["sat", str(big)]) == 0
+    assert capsys.readouterr().out == "SAT " + " ".join(f"{v}=F" for v in range(1, 31)) + "\n"
     # the first model of (40, 40, 40) lies 2^23 blocks of 2^16 codes in
     forced = tmp_path / "forced.cnf"
     forced.write_text("p cnf 40 1\n40 40 40 0\n")
-    capsys.readouterr()
-    assert main(["sat", str(forced), "--max-vars", "40", "--timeout", "0.2"]) == 4
+    assert main(["sat", str(forced), "--timeout", "0.2"]) == 4
     assert "exceeded the 0.2s budget" in capsys.readouterr().err
     assert main(["sat", str(forced), "--timeout", "nan"]) == 2
+
+
+def test_sat_refutes_a_32_variable_formula(tmp_path, capsys):
+    # 2^32 assignments, all refuted in under a second; no size cap applies
+    cnf = tmp_path / "n32.cnf"
+    cnf.write_text(emit_dimacs3(random_cnf(2, 32, 145, distinct_vars=True)))
+    assert main(["sat", str(cnf)]) == 1
+    assert capsys.readouterr().out == "UNSAT\n"
 
 
 def test_gen_is_deterministic(tmp_path, capsys):
@@ -327,6 +345,16 @@ def test_gen_is_deterministic(tmp_path, capsys):
     assert capsys.readouterr().out == first
     assert main(["gen", "cnf", "--seed", "43", "--vars", "4", "--clauses", "3"]) == 0
     assert capsys.readouterr().out != first
+    pairs = []
+    for run in "a", "b":
+        prefix = tmp_path / run
+        assert main(["gen", "set", "--seed", "42", "--families", "8", "--chromosomes", "3",
+                     "--out", str(prefix)]) == 0
+        assert capsys.readouterr().out == f"wrote {prefix}.g1 and {prefix}.g2\n"
+        pairs.append([parse_set_genome(pathlib.Path(f"{prefix}.{side}").read_text())
+                      for side in ("g1", "g2")])
+    assert pairs[0] == pairs[1]
+    assert pairs[0][0].ground_set == pairs[0][1].ground_set == set(range(1, 9))
 
 
 def test_gen_special_flag_guarantees_special_instance(tmp_path):
@@ -436,14 +464,13 @@ def test_run_selftest_at_depth():
     assert set(report.cases.values()) == {50}
 
 
-def test_usage_errors(tmp_path, data_dir, seq_files, set_files):
+def test_usage_errors(tmp_path, seq_files, set_files):
     assert main(["solve-seq", *seq_files, "--mode", "bogus"]) == 2
     for command, files in ("solve-seq", seq_files), ("solve-set", set_files), ("elcs", seq_files):
         assert main([command, *files, "--timeout", "nan"]) == 2
         assert main([command, *files, "--timeout", "inf"]) == 2
     for cap in "0", "-1":
         assert main(["elcs", *seq_files, "--mode", "oracle", "--max-mandatory", cap]) == 2
-        assert main(["sat", str(data_dir / "example1.cnf"), "--max-vars", cap]) == 2
     assert main(["selftest", "--cases", "0"]) == 2
     assert main(["selftest", "--budget", "nan"]) == 2
     assert main(["selftest", "--budget", "inf"]) == 2

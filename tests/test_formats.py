@@ -123,6 +123,21 @@ def test_name_table_names_the_column_of_a_bad_family_id(text, column, code):
     assert ((d.line, d.column), d.code) == ((1, column), code)
 
 
+@pytest.mark.parametrize(
+    "parse, text, where, code",
+    [
+        (parse_name_table, "1\tx_1\n2\tx_1", (2, 3), DUPLICATE_FAMILY),  # the repeated role
+        (parse_name_table, "1\tx_1\n  1\ty_1", (2, 3), DUPLICATE_FAMILY),  # the repeated id
+        (parse_name_table, "1\t", (1, 3), MALFORMED_TOKEN),  # an empty role
+        (parse_name_table, "1\tx_1\n \t \n2\tx_1", (3, 3), DUPLICATE_FAMILY),  # a blank line
+        (parse_dimacs3, "p cnf -1 0", (1, 1), BAD_HEADER),
+    ],
+)
+def test_table_and_header_faults_name_the_offending_field(parse, text, where, code):
+    d = diagnostic(parse, text)
+    assert ((d.line, d.column), d.code) == (where, code)
+
+
 def test_canonical_seq_emission():
     assert emit_seq_genome(SeqGenome.of(-4, 1, 2)) == "-4 1 2\n"
     assert emit_seq_genome(SeqGenome(())) == ""
@@ -235,7 +250,7 @@ def test_parsers_accept_or_raise_a_located_diagnostic(parse, data):
 
 
 # Fragments that probe the line check of the genome parsers: tokens it must
-# leave to the token walk (a signed token inside a .set line among them),
+# leave to _walk_line (a signed token inside a .set line among them),
 # separators that are white space to str.split() but not to an ASCII pattern
 # (U+001F, which str.splitlines() does not break on, and non-ASCII white
 # space between ASCII tokens), and characters that str.splitlines() breaks on.
@@ -251,7 +266,7 @@ genome_lines = st.lists(
 ).map("\n".join)
 # Well-formed tokens whose gene the line check refuses after the tokens
 # before it: 0, a family past the 32-bit bound, or a family repeated in a
-# .set line; the walk must start at the first of them.
+# .set line; the diagnostic must name the first of them.
 bad_genes = st.sampled_from(
     [" 0", " -0", " 00", " 2147483648", " -2147483648", " 1", " 7 7", " 8 0", " 9 0 x"]
 )

@@ -10,7 +10,6 @@ from worked_examples import (
     TWO_CLAUSE_SIGMA,
 )
 from zedkit import (
-    CapExceededError,
     CnfFormula,
     Literal,
     PreconditionViolatedError,
@@ -34,7 +33,6 @@ from zedkit import (
 )
 from zedkit.formats import render_seq_roles, render_set_roles
 from zedkit.generate import SplitMix64, random_cnf, random_satisfiable_cnf
-from zedkit.sat import DEFAULT_MAX_VARS
 
 formulas = st.builds(
     lambda n, sign_lists: CnfFormula(
@@ -135,15 +133,26 @@ def test_brute_force_sat_equals_the_reference_past_the_first_block(n_vars):
         assert brute_force_sat(phi) == expected
 
 
-def test_brute_force_sat_cap():
-    with pytest.raises(CapExceededError):
-        brute_force_sat(CnfFormula(25, ()))
+@pytest.mark.parametrize("seed, n_vars, n_clauses, satisfiable", [
+    (0, 30, 135, False),
+    (1, 30, 135, True),
+    (2, 32, 145, False),
+    (0, 32, 145, True),
+])
+def test_brute_force_sat_decides_past_24_variables(seed, n_vars, n_clauses, satisfiable):
+    """Only the budget bounds the scan: 2^30 and 2^32 assignments take well
+    under a second, and the verdict is oracles.dpll_sat's."""
+    phi = random_cnf(seed, n_vars, n_clauses, distinct_vars=True)
+    model = brute_force_sat(phi)
+    assert (model is not None) == satisfiable
+    assert (oracles.dpll_sat(phi.n_vars, dimacs(phi))[0] is not None) == satisfiable
+    assert model is None or eval_assignment(phi, model)
 
 
 def test_brute_force_sat_timeout():
     # the first model of (40, 40, 40) is code 2^39, 2^23 blocks in
     with pytest.raises(SearchTimeoutError, match="exceeded the 0.05s budget"):
-        brute_force_sat(CnfFormula.of(40, (40, 40, 40)), max_vars=40, timeout_s=0.05)
+        brute_force_sat(CnfFormula.of(40, (40, 40, 40)), timeout_s=0.05)
     with pytest.raises(ValueError):
         brute_force_sat(TWO_CLAUSE_FORMULA, timeout_s=float("nan"))
 
@@ -263,10 +272,11 @@ def test_seq_reductions_past_brute_force_agree_with_dpll(seed):
 
 @pytest.mark.parametrize("seed, satisfiable", [(0, False), (1, True)])
 def test_seq_reductions_at_30_variables_agree_with_dpll(seed, satisfiable):
-    """n=30, m=135, past brute_force_sat's cap: oracles.dpll_sat gives the
-    verdict, and a YES certificate yields a satisfying assignment."""
+    """n=30, m=135: oracles.dpll_sat and brute_force_sat give the verdict, and
+    a YES certificate yields a satisfying assignment."""
     phi = random_cnf(seed, 30, 135, distinct_vars=True)
     assert (oracles.dpll_sat(phi.n_vars, dimacs(phi))[0] is not None) == satisfiable
+    assert (brute_force_sat(phi) is not None) == satisfiable
     g1, g2, _ = reduce_3sat_to_seq_zed(phi)
     dec = zed_seq_exact(g1, g2)
     assert dec.answer == satisfiable
@@ -303,11 +313,11 @@ def test_set_reductions_agree_with_brute_force(n_vars):
     (40, 180, 1, False),
 ])
 def test_set_reductions_past_brute_force_agree_with_dpll(n_vars, n_clauses, seed, satisfiable):
-    """oracles.dpll_sat gives the verdict, and brute_force_sat too up to its
-    24-variable cap."""
+    """oracles.dpll_sat gives the verdict, and brute_force_sat too up to 32
+    variables (refuting n=40 would scan 2^40 assignments, about 90 s)."""
     phi = random_cnf(seed, n_vars, n_clauses, distinct_vars=True)
     assert (oracles.dpll_sat(phi.n_vars, dimacs(phi))[0] is not None) == satisfiable
-    if n_vars <= DEFAULT_MAX_VARS:
+    if n_vars <= 32:
         assert (brute_force_sat(phi) is not None) == satisfiable
     g1, g2, _ = reduce_3sat_to_set_zed(phi)
     dec = zed_set_exact(g1, g2)
