@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .model import SeqGenome, SetGenome
 from .sat import CnfFormula, Literal, brute_force_sat
 
@@ -55,7 +53,10 @@ class SplitMix64:
 
         The shuffle's draws are made in one numpy step and each taken slot
         is traced back through the swaps to the item that lands in it, so a
-        few items from a large pool cost no Python loop over the pool."""
+        few items from a large pool cost no Python loop over the pool.
+        numpy loads on the first call, not with the package."""
+        import numpy as np
+
         n = len(population)
         offsets, sizes, steps = _ramps(n)
         # next64 over the shuffle's n - 1 draws, all at once (uint64 wraps)
@@ -117,10 +118,12 @@ def random_satisfiable_cnf(
 
 
 @lru_cache(maxsize=8)
-def _ramps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ramps(n: int):
     """For shuffling a pool of n: the state offsets of its n - 1 draws
     (1..n-1 times the increment), their range sizes n..2, and the slots
-    0..n-1."""
+    0..n-1, as numpy arrays."""
+    import numpy as np
+
     offsets = np.arange(1, n, dtype=np.uint64) * np.uint64(_GAMMA)
     return offsets, np.arange(n, 1, -1, dtype=np.uint64), np.arange(n, dtype=np.int64)
 

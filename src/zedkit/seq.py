@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Mapping
 
-import numpy as np
-
 from .errors import (
     CapExceededError,
     MissingWeightError,
@@ -151,10 +149,13 @@ def _dense_max_weight_subsequence(
     a: tuple[int, ...], b: tuple[int, ...], weight_of: Mapping[int, int]
 ) -> tuple[int, ...]:
     """_max_weight_subsequence over the full table: row recurrence
-    vectorized with a running maximum, then the canonical traceback."""
+    vectorized with a running maximum, then the canonical traceback.  numpy
+    loads on the first call, not with the package."""
     n, m = len(a), len(b)
     if n == 0 or m == 0:
         return ()
+    import numpy as np
+
     A = np.asarray(a, dtype=np.int64)
     B = np.asarray(b, dtype=np.int64)
     wa64 = np.asarray([weight_of[abs(g)] for g in a], dtype=np.int64)

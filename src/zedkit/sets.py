@@ -16,11 +16,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import maximum_bipartite_matching
-
 from .errors import PreconditionViolatedError
 from .model import (
     NO_EMBEDDING_IN_G1,
@@ -86,9 +81,13 @@ def build_intersection_graph(g1: SetGenome, g2: SetGenome) -> IntersectionGraph:
 
 
 def max_weight_bipartite_matching(graph: IntersectionGraph) -> Matching:
-    """Matching of maximum total intersection size (assignment-problem solver)."""
+    """Matching of maximum total intersection size (assignment-problem solver).
+    numpy and scipy.optimize load on the first call, not with the package."""
     if graph.left_size == 0 or graph.right_size == 0:
         return Matching(frozenset(), 0)
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
     w = np.zeros((graph.left_size, graph.right_size), dtype=np.int64)
     n = len(graph.weights)
     ij = np.fromiter(itertools.chain.from_iterable(graph.weights), np.intp, 2 * n)
@@ -307,6 +306,80 @@ def solve_set(
     return route, zed_set_exact(g1, g2, timeout_s=timeout_s)
 
 
+def _covers_every_row(adj: list[list[int]], n_cols: int) -> bool:
+    """Whether some matching of the bipartite graph in which row r is joined
+    to the columns adj[r] (each below n_cols) covers every row.
+
+    Hopcroft-Karp (1973) from a greedy start: each row first takes its first
+    free column; then each phase layers the rows by BFS from the free ones,
+    up to the first layer that reaches a free column, and augments along a
+    maximal set of disjoint shortest paths.  The DFS keeps its path on an
+    explicit stack, so no path length meets the recursion limit, and each
+    row resumes its scan where the phase left it."""
+    match_col = [-1] * n_cols  # column -> its row
+    free = []
+    for r, cols in enumerate(adj):
+        for c in cols:
+            if match_col[c] < 0:
+                match_col[c] = r
+                break
+        else:
+            if not cols:
+                return False
+            free.append(r)
+    while free:
+        layer = [-1] * len(adj)  # -1: not in this phase's layers, or dead
+        for r in free:
+            layer[r] = 0
+        frontier, reached = free, False
+        while frontier and not reached:
+            below = []
+            for r in frontier:
+                d = layer[r] + 1
+                for c in adj[r]:
+                    r2 = match_col[c]
+                    if r2 < 0:
+                        reached = True
+                    elif layer[r2] < 0:
+                        layer[r2] = d
+                        below.append(r2)
+            frontier = below
+        if not reached:
+            return False  # the matching is maximum and leaves a row free
+        scanned, unmatched = [0] * len(adj), []
+        for root in free:
+            path, via = [root], []  # via[t]: the column path[t] steps through
+            while path:
+                r = path[-1]
+                cols, i = adj[r], scanned[r]
+                step = -1
+                while i < len(cols):
+                    c = cols[i]
+                    i += 1
+                    r2 = match_col[c]
+                    if r2 < 0 or layer[r2] == layer[r] + 1:
+                        step = c
+                        break
+                scanned[r] = i
+                if step < 0:  # a dead end for the rest of the phase
+                    layer[r] = -1
+                    path.pop()
+                    if via:
+                        via.pop()
+                elif r2 < 0:
+                    via.append(step)
+                    for r, c in zip(path, via):
+                        match_col[c] = r
+                    break
+                else:
+                    path.append(r2)
+                    via.append(step)
+            else:
+                unmatched.append(root)
+        free = unmatched
+    return True
+
+
 def _embeds_injectively(blocks: tuple[frozenset[int], ...], genome: SetGenome) -> bool:
     """Each block must be a subset of a distinct chromosome of genome, which
     holds every gene of the blocks.
@@ -314,9 +387,8 @@ def _embeds_injectively(blocks: tuple[frozenset[int], ...], genome: SetGenome) -
     A non-empty block's candidate hosts are those holding its rarest gene
     (the first gene with the fewest hosts, read off the gene -> chromosome
     index; the scan stops at a gene with one host) that also pass the subset
-    test; the blocks embed iff a maximum bipartite matching (Hopcroft-Karp)
-    covers every non-empty block and enough hosts are left over for the empty
-    ones."""
+    test; the blocks embed iff a matching covers every non-empty block
+    (_covers_every_row) and enough hosts are left over for the empty ones."""
     chromosomes = genome.chromosomes
     if len(blocks) > len(chromosomes):
         return False
@@ -333,11 +405,7 @@ def _embeds_injectively(blocks: tuple[frozenset[int], ...], genome: SetGenome) -
                 if not rare or len(held) < len(rare):
                     rare = held
             adj.append([h for h in rare if b <= chromosomes[h]])
-    indices = [h for row in adj for h in row]
-    indptr = np.cumsum([0, *map(len, adj)])
-    edges = np.ones(len(indices), dtype=np.int8)
-    graph = csr_array((edges, indices, indptr), shape=(len(adj), len(chromosomes)))
-    return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
+    return _covers_every_row(adj, len(chromosomes))
 
 
 def verify_set_certificate(g1: SetGenome, g2: SetGenome, cert: SetGenome) -> CertificateCheck:

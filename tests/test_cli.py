@@ -268,23 +268,59 @@ def test_verify_set_worked_certificate(set_files, tmp_path):
     assert main(["verify", "--variant", "set", *set_files, str(cert)]) == 0
 
 
+def _fresh_interpreter(*args: str) -> subprocess.CompletedProcess:
+    """Run python with args in a new process that imports this zedkit."""
+    src = str(pathlib.Path(zedkit.__file__).parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
 def test_verify_set_long_augmenting_paths(tmp_path):
-    # hosts {h, h+1} and a last host {k}, blocks the singletons: block {h}
-    # first displaces {h-1}, which displaces {h-2}, ... down to {1}, so the
-    # augmenting paths grow k steps long.  A fresh interpreter runs them
-    # under the default recursion limit, whatever the test session has set.
+    # hosts {h, h+1} and a last host {k}, blocks the singletons from {k} down:
+    # the greedy start gives block {g} the host {g-1, g} and leaves block {1}
+    # none, so its augmenting path runs through all k blocks.  A fresh
+    # interpreter runs it under the default recursion limit, whatever the
+    # test session has set.
     k = 1500
     hosts = tmp_path / "hosts.set"
     hosts.write_text("".join(f"{h} {h + 1}\n" for h in range(1, k)) + f"{k}\n")
     cert = tmp_path / "cert.set"
-    cert.write_text("".join(f"{g}\n" for g in range(1, k + 1)))
-    src = str(pathlib.Path(zedkit.__file__).parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "zedkit", "verify", "--variant", "set", str(hosts), str(hosts), str(cert)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
-    )
+    cert.write_text("".join(f"{g}\n" for g in range(k, 0, -1)))
+    proc = _fresh_interpreter("-m", "zedkit", "verify", "--variant", "set", str(hosts), str(hosts), str(cert))
     assert (proc.returncode, proc.stdout) == (0, "OK\n"), proc.stderr
+
+
+_REDUCTIONS_WITHOUT_NUMERIC_LIBRARIES = """
+import itertools, sys
+import zedkit, zedkit.cli
+from zedkit import (CnfFormula, brute_force_sat, reduce_3sat_to_seq_zed, reduce_3sat_to_set_zed,
+                    solve_seq, solve_set, verify_seq_certificate, verify_set_certificate)
+
+sat = CnfFormula.of(3, (1, 2, 3), (-1, -2, 3), (1, -2, -3))
+unsat = CnfFormula.of(3, *itertools.product((1, -1), (2, -2), (3, -3)))
+for phi, answer in (sat, True), (unsat, False):
+    assert (brute_force_sat(phi) is not None) == answer
+    g1, g2, _ = reduce_3sat_to_seq_zed(phi)
+    _, dec = solve_seq(g1, g2)
+    assert dec.answer == answer
+    assert not answer or verify_seq_certificate(g1, g2, dec.certificate).ok
+    h1, h2, _ = reduce_3sat_to_set_zed(phi)
+    _, dec = solve_set(h1, h2)
+    assert dec.answer == answer
+    assert not answer or verify_set_certificate(h1, h2, dec.certificate).ok
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_reductions_run_without_loading_numpy_or_scipy():
+    # only the dense LCS table, the assignment and the seeded generators
+    # load the numeric libraries, on first use
+    proc = _fresh_interpreter("-c", _REDUCTIONS_WITHOUT_NUMERIC_LIBRARIES)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_reports_undecodable_bytes_as_a_parse_error(set_files, tmp_path, capsys):

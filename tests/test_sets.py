@@ -381,6 +381,32 @@ def test_verify_set_certificate_matches_oracle_on_random_pairs(seed):
         assert (check.ok, check.reason) == (fault is None, _FAULTS[fault])
 
 
+@st.composite
+def _blocks_cut_from_hosts(draw):
+    """Up to six hosts of two or three of four genes, and non-empty blocks
+    cut from them: one from each of all hosts but at most one, which embed,
+    and maybe one more from any host, which may not.  The blocks' candidate
+    lists overlap, and in shuffled order the greedy start takes a host that
+    a later block needs in about one draw in six."""
+    hosts = draw(st.lists(st.sets(st.integers(1, 4), min_size=2, max_size=3), min_size=1, max_size=6))
+
+    def cut(h):
+        return st.frozensets(st.sampled_from(sorted(h)), min_size=1, max_size=len(h))
+
+    planted = draw(st.permutations(hosts))[draw(st.integers(0, 1)):]
+    blocks = [draw(cut(h)) for h in planted]
+    blocks += draw(st.lists(st.sampled_from(hosts).flatmap(cut), max_size=1))
+    return hosts, tuple(draw(st.permutations(blocks)))
+
+
+@given(_blocks_cut_from_hosts())
+@settings(max_examples=300)
+def test_embeds_injectively_matches_the_permutation_oracle(drawn):
+    hosts, blocks = drawn
+    expected = oracles.embeds_injectively(blocks, hosts)
+    assert sets._embeds_injectively(blocks, SetGenome.of(*hosts)) == expected
+
+
 set_genomes = st.lists(
     st.sets(st.integers(1, 6), min_size=1, max_size=4), min_size=1, max_size=4
 ).map(lambda cs: SetGenome.of(*cs))
