@@ -3,10 +3,10 @@
 Subcommands: solve-seq, solve-set, elcs, reduce, verify, sat, gen, selftest,
 bench.  solve-seq and solve-set share one command.  --timeout is the only
 bound on their searches and on sat's scan; elcs takes the same --timeout for
-its oracle, next to the oracle's --max-mandatory cap.  Exit codes: 0
-yes/feasible, 1 no/infeasible, 2 usage or parse error, 3 precondition
-violation, 4 search timeout, elcs cap or memory exhausted.  Verdicts go to
-stdout, diagnostics to stderr; --report appends one JSON object per run.
+its oracle, whose table has a fixed entry cap.  Exit codes: 0 yes/feasible,
+1 no/infeasible, 2 usage or parse error, 3 precondition violation, 4 search
+timeout, elcs table cap or memory exhausted.  Verdicts go to stdout,
+diagnostics to stderr; --report appends one JSON object per run.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .search import DEFAULT_TIMEOUT_S
 from .selftest import run_selftest
 from .seq import MODES as SEQ_MODES
 from .seq import (
-    DEFAULT_MAX_MANDATORY,
     _dense_max_weight_subsequence,
     elcs_exact_oracle,
     elcs_special,
@@ -147,8 +146,7 @@ def _cmd_elcs(args) -> int:
             print(f"precondition violated: {exc}; rerun with --mode oracle", file=sys.stderr)
             return EXIT_PRECONDITION
     else:
-        best = elcs_exact_oracle(a, b, alphabet, max_mandatory=args.max_mandatory,
-                                 timeout_s=args.timeout)
+        best = elcs_exact_oracle(a, b, alphabet, timeout_s=args.timeout)
     elapsed = (time.perf_counter() - t0) * 1000
     if best is None:
         print("INFEASIBLE")
@@ -261,12 +259,14 @@ def _verdict(dec) -> str:
     return "YES" if dec.answer else "NO"
 
 
-def _refusal(text: str):
-    """Where parse_seq_genome refuses text, as (line, column, code)."""
+def _refusal(run, *args):
+    """How run(*args) refuses: a parse error's (line, column, code), a cap's type name."""
     try:
-        parse_seq_genome(text)
+        run(*args)
     except ParseError as exc:
         return exc.diagnostic.line, exc.diagnostic.column, exc.diagnostic.code
+    except CapExceededError as exc:
+        return type(exc).__name__
     return "accepted"
 
 
@@ -342,7 +342,7 @@ def _bench_scenarios():
     yield "parse 0.8 MB genome", 0.5, lambda: parse_seq_genome(line) == g, True
     for tail, code in (" x", MALFORMED_TOKEN), (" 0", ZERO_GENE), (" 2147483648", MALFORMED_TOKEN):
         yield (f"parse 0.8 MB genome, bad last token{tail}", 0.5,
-               functools.partial(_refusal, line + tail), (1, len(line) + 2, code))
+               functools.partial(_refusal, parse_seq_genome, line + tail), (1, len(line) + 2, code))
 
     s1, s2 = random_set_pair(2024, 2000, 200, special=True)
     _load_assignment_solver()
@@ -433,6 +433,18 @@ def _bench_scenarios():
     yield ("seq exact 3 x 25 families, up to 1000 copies", 0.43,
            lambda: [_certified(g1, g2) for g1, g2 in many], [True] * 3)
 
+    # every family mandatory: the oracle's entry cap, not their number,
+    # decides; it refuses the 91 x 101 pair before its table takes gigabytes
+    # and answers the small identity pair past 15 families
+    e1, e2 = random_seq_pair(3, 15, max_occ=12, signed=False)
+    all15 = Alphabet(e1.families, frozenset())
+    yield ("ELCS oracle 91x101, 15 mandatory, refused at its cap", 5.0,
+           functools.partial(_refusal, elcs_exact_oracle, e1, e2, all15), "CapExceededError")
+    i19 = SeqGenome(tuple(range(1, 20)))
+    all19 = Alphabet(i19.families, frozenset())
+    yield ("ELCS oracle identity, 19 mandatory", 3.8,
+           lambda: len(elcs_exact_oracle(i19, i19, all19)), 19)
+
     # random unsatisfiable formulas whose set reductions the exact search
     # refutes; in the 830-gene one each binding picks the next item among
     # hundreds of pending ones
@@ -520,8 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("b")
     p.add_argument("--mandatory", default="", help="comma- or space-separated mandatory families")
     p.add_argument("--mode", choices=["special", "oracle"], default="special")
-    p.add_argument("--max-mandatory", type=_positive_int, default=DEFAULT_MAX_MANDATORY,
-                   help="cap for oracle mode")
     p.add_argument("--timeout", type=_finite_seconds, default=DEFAULT_TIMEOUT_S,
                    help="wall budget for oracle mode (s)")
     p.add_argument("--out", help="write the subsequence here when feasible")

@@ -12,7 +12,7 @@ class PreconditionViolatedError(ZedError):
 
 
 class CapExceededError(ZedError):
-    """The instance exceeds a configured size cap for an exact search."""
+    """An instance outgrew a size cap: the ELCS oracle's table or zed_seq_exact's max_families."""
 
 
 class MissingWeightError(ZedError):

@@ -126,11 +126,10 @@ def backjump_search(
     # size * step + base[y], where base[y] < step orders by larger degree,
     # then index; key % n is the item.  A key in the heap counts while its
     # item is pending with that key, and every pending item has one whenever
-    # the next is picked.  When every degree ties, as in the ordered search,
-    # base[y] is y and needs no table.
+    # the next is picked.
     top, low = max(degree, default=0), min(degree, default=0)
     step = n * (top - low + 1)
-    base = range(n) if top == low else [(top - d) * n + y for y, d in enumerate(degree)]
+    base = [(top - d) * n + y for y, d in enumerate(degree)]
     heap = [y if s == 1 else s * step + base[y] for y, s in enumerate(sizes)]
     heapify(heap)
 

@@ -468,36 +468,35 @@ def solve_seq(
     return route, zed_seq_special(g1, g2)
 
 
-DEFAULT_MAX_MANDATORY = 15  # elcs_exact_oracle's cap: its table holds up to 2^15 masks a cell
+# elcs_exact_oracle's table holds at most this many mask -> length entries:
+# a 91x101 pair with 15 mandatory families reaches it in about 0.5 s at
+# 168 MB, and a 2040x2040 pair with none, one entry a cell, peaks at 945 MB.
+_MAX_TABLE_ENTRIES = 1 << 22
 
 
 def elcs_exact_oracle(
-    a: SeqGenome, b: SeqGenome, alphabet: Alphabet, *, max_mandatory: int = DEFAULT_MAX_MANDATORY,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
+    a: SeqGenome, b: SeqGenome, alphabet: Alphabet, *, timeout_s: float = DEFAULT_TIMEOUT_S,
 ) -> SeqGenome | None:
     """Reference solver for the mandatory-symbol LCS, exact for arbitrary
     occurrence counts: dynamic programming over prefixes of a and b and the
     set of mandatory families used, maximizing length and never reusing a
     mandatory family.  The traceback is lcs's canonical one, so with no
     mandatory families the result is lcs(a, b).  Returns None when no common
-    subsequence covers all of them.  Raises SearchTimeoutError once timeout_s
-    seconds have passed (the clock is read once per symbol of a),
-    ValueError when timeout_s is NaN."""
+    subsequence covers all of them.  Raises CapExceededError past 2^22 table
+    entries, SearchTimeoutError once timeout_s seconds have passed (the clock
+    is read once per symbol of a), ValueError when timeout_s is NaN."""
     stop = deadline(timeout_s)
     if not (alphabet.mandatory <= a.families and alphabet.mandatory <= b.families):
         return None
     mandatory = sorted(alphabet.mandatory)
-    if len(mandatory) > max_mandatory:
-        raise CapExceededError(
-            f"{len(mandatory)} mandatory families exceeds the cap of {max_mandatory}"
-        )
     bit = {f: 1 << k for k, f in enumerate(mandatory)}
     full = (1 << len(mandatory)) - 1
     ga, gb = a.genes, b.genes
     # best[i][j] maps a set of mandatory families, each used once, to the
     # longest common subsequence of a[:i] and b[:j] using exactly that set
     best = [[{0: 0}] * (len(gb) + 1)]
-    for x in ga:
+    left = _MAX_TABLE_ENTRIES - len(ga) - len(gb) - 1  # the border cells hold {0: 0}
+    for i, x in enumerate(ga, 1):
         if time.monotonic() > stop:
             raise timeout_error(timeout_s)
         up, row = best[-1], [{0: 0}]
@@ -511,6 +510,9 @@ def elcs_exact_oracle(
                 for mask, k in up[j].items():
                     if not mask & fb and cell.get(mask | fb, -1) <= k:
                         cell[mask | fb] = k + 1
+            left -= len(cell)
+            if left < 0:
+                raise CapExceededError(f"the table passed {_MAX_TABLE_ENTRIES} entries at row {i}")
             row.append(cell)
         best.append(row)
     i, j, mask = len(ga), len(gb), full

@@ -18,7 +18,7 @@ from zedkit.formats import (
     parse_seq_genome,
     parse_set_genome,
 )
-from zedkit.generate import random_cnf
+from zedkit.generate import random_cnf, random_seq_pair
 from zedkit.selftest import run_selftest
 
 
@@ -296,7 +296,8 @@ def test_verify_set_long_augmenting_paths(tmp_path):
 _REDUCTIONS_WITHOUT_NUMERIC_LIBRARIES = """
 import itertools, sys
 import zedkit, zedkit.cli
-from zedkit import (CnfFormula, brute_force_sat, reduce_3sat_to_seq_zed, reduce_3sat_to_set_zed,
+from zedkit import (CnfFormula, IntersectionGraph, Matching, brute_force_sat,
+                    max_weight_bipartite_matching, reduce_3sat_to_seq_zed, reduce_3sat_to_set_zed,
                     solve_seq, solve_set, verify_seq_certificate, verify_set_certificate)
 
 sat = CnfFormula.of(3, (1, 2, 3), (-1, -2, 3), (1, -2, -3))
@@ -311,6 +312,9 @@ for phi, answer in (sat, True), (unsat, False):
     _, dec = solve_set(h1, h2)
     assert dec.answer == answer
     assert not answer or verify_set_certificate(h1, h2, dec.certificate).ok
+# a graph with an empty side has only the empty matching, with no solver
+for left, right in (0, 3), (2, 0):
+    assert max_weight_bipartite_matching(IntersectionGraph(left, right, {})) == Matching(frozenset(), 0)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
 assert not loaded, loaded
 """
@@ -321,6 +325,35 @@ def test_reductions_run_without_loading_numpy_or_scipy():
     # load the numeric libraries, on first use
     proc = _fresh_interpreter("-c", _REDUCTIONS_WITHOUT_NUMERIC_LIBRARIES)
     assert proc.returncode == 0, proc.stderr
+
+
+_ORACLE_UNDER_AN_ADDRESS_SPACE_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from zedkit import Alphabet, CapExceededError, elcs_exact_oracle
+from zedkit.cli import main
+from zedkit.formats import parse_seq_genome
+a, b = (parse_seq_genome(open(path, "rb").read()) for path in sys.argv[1:])
+try:
+    elcs_exact_oracle(a, b, Alphabet.from_mandatory(a.families, a.families | b.families))
+except CapExceededError as exc:
+    print("refused:", exc)
+mandatory = ",".join(map(str, sorted(a.families)))
+sys.exit(main(["elcs", *sys.argv[1:], "--mode", "oracle", "--mandatory", mandatory]))
+"""
+
+
+def test_elcs_oracle_table_stops_at_its_cap_under_an_address_space_limit(tmp_path):
+    # 91 x 101 genes, every one of the 15 families mandatory: the table would
+    # take gigabytes, so the oracle must refuse it long before the 512 MB that
+    # this child process may map (an uncapped table raised MemoryError there)
+    paths = [tmp_path / "a.seq", tmp_path / "b.seq"]
+    for path, g in zip(paths, random_seq_pair(3, 15, max_occ=12, signed=False)):
+        path.write_text(emit_seq_genome(g))
+    proc = _fresh_interpreter("-c", _ORACLE_UNDER_AN_ADDRESS_SPACE_LIMIT, *map(str, paths))
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout.startswith("refused: the table passed 4194304 entries")
+    assert proc.stderr.startswith("limit exceeded: the table passed 4194304 entries")
 
 
 def test_verify_reports_undecodable_bytes_as_a_parse_error(set_files, tmp_path, capsys):
@@ -505,8 +538,8 @@ def test_usage_errors(tmp_path, seq_files, set_files):
     for command, files in ("solve-seq", seq_files), ("solve-set", set_files), ("elcs", seq_files):
         assert main([command, *files, "--timeout", "nan"]) == 2
         assert main([command, *files, "--timeout", "inf"]) == 2
-    for cap in "0", "-1":
-        assert main(["elcs", *seq_files, "--mode", "oracle", "--max-mandatory", cap]) == 2
+    # the oracle's only cap is on its table, and no option sets it
+    assert main(["elcs", *seq_files, "--mode", "oracle", "--max-mandatory", "15"]) == 2
     assert main(["selftest", "--cases", "0"]) == 2
     assert main(["selftest", "--budget", "nan"]) == 2
     assert main(["selftest", "--budget", "inf"]) == 2

@@ -107,6 +107,8 @@ def test_name_table_empty_and_errors():
     assert diagnostic(parse_name_table, "1\tx_1\n1\ty_1").code == DUPLICATE_FAMILY
     assert diagnostic(parse_name_table, "1\tx_1\n2\tx_1").code == DUPLICATE_FAMILY
     assert diagnostic(parse_name_table, "zap").code == MALFORMED_TOKEN
+    with pytest.raises(ValueError, match="unique"):
+        GeneNameTable({1: "x_1", 2: "x_1"})
 
 
 def test_name_table_refuses_family_ids_the_genome_parsers_refuse():

@@ -32,19 +32,21 @@ def test_random_set_pair_output_is_pinned():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, refusal",
     [
-        lambda s: random_seq_pair(s, 0),
-        lambda s: random_set_pair(s, 0, 3),
-        lambda s: random_cnf(s, 3, -2),
-        lambda s: random_seq_pair(s, 1, max_occ=0, special=True),
-        lambda s: random_seq_pair(s, 4, max_occ=0),
-        lambda s: random_set_pair(s, 4, 3, max_occ=0, special=True),
+        (lambda s: random_seq_pair(s, 0), "at least one family"),
+        (lambda s: random_set_pair(s, 0, 3), "at least one family"),
+        (lambda s: random_cnf(s, 3, -2), "non-negative number of clauses"),
+        (lambda s: random_seq_pair(s, 1, max_occ=0, special=True), "occurrence count"),
+        (lambda s: random_seq_pair(s, 4, max_occ=0), "occurrence count"),
+        (lambda s: random_set_pair(s, 4, 3, max_occ=0, special=True), "occurrence count"),
+        (lambda s: random_set_pair(s, 4, 0), "at least one chromosome"),
+        (lambda s: SplitMix64(s).randint(1, 0), "empty range"),
     ],
     ids=["seq-no-families", "set-no-families", "cnf-negative-clauses", "seq-special-max-occ-0",
-         "seq-max-occ-0", "set-special-max-occ-0"],
+         "seq-max-occ-0", "set-special-max-occ-0", "set-no-chromosomes", "randint-empty-range"],
 )
 @pytest.mark.parametrize("seed", range(6))
-def test_generators_refuse_bad_arguments_on_every_seed(make, seed):
-    with pytest.raises(ValueError):
+def test_generators_refuse_bad_arguments_on_every_seed(make, refusal, seed):
+    with pytest.raises(ValueError, match=refusal):
         make(seed)

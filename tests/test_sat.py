@@ -51,6 +51,8 @@ def test_formula_validation():
         CnfFormula(2, ((Literal(1, True), Literal(2, False)),))
     with pytest.raises(ValueError):
         CnfFormula.of(1, (1, -2, 1))
+    with pytest.raises(ValueError, match="1-based"):
+        Literal(0, True)
     assert TWO_CLAUSE_FORMULA.distinct_vars_per_clause
     assert not DEGENERATE_UNSAT.distinct_vars_per_clause
 
@@ -412,6 +414,12 @@ def test_assignment_from_set_certificate_rejects_garbage():
         assignment_from_set_certificate(TWO_CLAUSE_FORMULA, g1)
     with pytest.raises(PreconditionViolatedError, match="repeats a variable"):
         assignment_from_set_certificate(CnfFormula.of(2, (1, 1, 2)), g1)
+    # and the other way: no certificate from a formula the reduction refuses,
+    # or from an assignment that does not satisfy the formula
+    with pytest.raises(PreconditionViolatedError, match="repeats a variable"):
+        set_certificate_from_assignment(CnfFormula.of(2, (1, 1, 2)), {1: True, 2: False})
+    with pytest.raises(PreconditionViolatedError, match="does not satisfy"):
+        set_certificate_from_assignment(TWO_CLAUSE_FORMULA, {1: False, 2: True, 3: True, 4: False})
 
 
 @pytest.mark.parametrize("seed", range(40))
