@@ -283,13 +283,33 @@ def _set_special_from_text(text1: str, text2: str) -> str:
     return _verdict(zed_set_matching(g1, g2))
 
 
-def _load_assignment_solver() -> None:
-    """One matching on a tiny pair.  The assignment solver loads numpy and
-    scipy.optimize on first use; a floor's set-up calls this so that its
-    timed run does not, while the timed genomes' views are still built in
-    that run."""
-    tiny = SetGenome.of({1})
-    zed_set_matching(tiny, tiny)
+def _planted_copies(rng, blocks, picked) -> list[set[int]]:
+    """For each block index b in picked, a second copy of each gene of
+    blocks[b] in a random other one of len(blocks) chromosomes: the copies
+    that each chromosome receives."""
+    k = len(blocks)
+    copies: list[set[int]] = [set() for _ in blocks]
+    for b in picked:
+        for f in blocks[b]:
+            copies[(b + rng.randint(1, k - 1)) % k].add(f)
+    return copies
+
+
+def _planted_set_pair(k: int) -> tuple[SetGenome, SetGenome]:
+    """A per-gene special YES pair around a planted partition of 10 k genes
+    into k blocks of 10: block b is chromosome b of g1 and chromosome
+    k - 1 - b of g2.  Each gene of a block b = 1 (mod 4) has a second copy
+    elsewhere in g1, and each gene of a block b = 3 (mod 4) one elsewhere in
+    g2, so both genomes hold chromosomes with and without single-copy genes."""
+    from .generate import SplitMix64
+
+    rng = SplitMix64(k)
+    blocks = tuple(frozenset(range(10 * b + 1, 10 * b + 11)) for b in range(k))
+    more1 = _planted_copies(rng, blocks, range(1, k, 4))
+    more2 = _planted_copies(rng, blocks, range(3, k, 4))
+    g1 = SetGenome(tuple(blk | more for blk, more in zip(blocks, more1)))
+    g2 = SetGenome(tuple(blk | more for blk, more in zip(blocks, more2))[::-1])
+    return g1, g2
 
 
 def _chained_hosts(chains: int, length: int) -> tuple[SetGenome, SetGenome]:
@@ -345,16 +365,23 @@ def _bench_scenarios():
                functools.partial(_refusal, parse_seq_genome, line + tail), (1, len(line) + 2, code))
 
     s1, s2 = random_set_pair(2024, 2000, 200, special=True)
-    _load_assignment_solver()
     yield "matching k=200 |S|=2000", 0.1, lambda: _verdict(zed_set_matching(s1, s2)), "NO"
     t1, t2 = random_set_pair(2024, 20000, 2000, special=True)
-    _load_assignment_solver()
-    yield "matching k=2000 |S|=20000", 2.0, lambda: _verdict(zed_set_matching(t1, t2)), "NO"
+    yield "matching k=2000 |S|=20000", 0.4, lambda: _verdict(zed_set_matching(t1, t2)), "NO"
+    # a dense k1 x k2 assignment matrix would take 3.2 GB here.  Blocks 0 and
+    # 4 are single-copy in both genomes; u2 holds both in one chromosome,
+    # which fits neither g1 chromosome that holds one of them
+    u1, u2 = _planted_set_pair(20000)
+    c = u2.chromosomes  # block b is chromosome k - 1 - b
+    u2 = SetGenome(c[:-5] + (c[-5] | c[-1],) + c[-4:-1])
+    yield "matching k=20000 |S|=200000", 6.5, lambda: _verdict(zed_set_matching(u1, u2)), "NO"
+    # every needy chromosome must be matched, on both sides
+    q1, q2 = _planted_set_pair(4000)
+    yield "matching planted k=4000 YES", 0.7, lambda: _verdict(zed_set_matching(q1, q2)), "YES"
     # the same pair from its text: the timed run builds every gene index and
     # occurrence profile it reads, and shares them between its steps
     texts = emit_set_genome(t1), emit_set_genome(t2)
-    _load_assignment_solver()
-    yield ("set special k=2000 from text", 4.1,
+    yield ("set special k=2000 from text", 0.62,
            functools.partial(_set_special_from_text, *texts), "NO")
     # the parse alone: comparing the genomes would take nearly as long
     yield ("parse set k=2000 texts", 0.17,
@@ -388,10 +415,7 @@ def _bench_scenarios():
     # odd block has a second copy elsewhere in v1, so the rarest-gene scan
     # walks every gene of those blocks; the run builds both gene indexes
     blocks = tuple(frozenset(range(10 * b + 1, 10 * b + 11)) for b in range(2000))
-    copies: list[set[int]] = [set() for _ in blocks]
-    for b in range(1, 2000, 2):
-        for f in blocks[b]:
-            copies[(b + rng.randint(1, 1999)) % 2000].add(f)
+    copies = _planted_copies(rng, blocks, range(1, 2000, 2))
     v1 = SetGenome(tuple(blk | more for blk, more in zip(blocks, copies)))
     v2 = SetGenome(blocks[::-1])
     planted = SetGenome(blocks)

@@ -3,9 +3,13 @@
 A common reduced genome here is a partition of the shared ground set whose
 blocks embed injectively, by containment, into the chromosomes of each input.
 The special case where every family occurs exactly once in at least one genome
-reduces to maximum-weight bipartite matching on chromosome intersections; the
-general case is handled by a permutation scan (fixed-parameter in the
-chromosome count) and by the exact backjump search shared with ordered genomes.
+reduces to maximum-weight bipartite matching on chromosome intersections, which
+there reaches the ground-set size iff a plain matching of covering chromosome
+pairs saturates every chromosome that holds a single-copy gene; the general
+case is handled by a permutation scan (fixed-parameter in the chromosome count)
+and by the exact backjump search shared with ordered genomes.  One plain-Python
+Hopcroft-Karp kernel (_row_covering_matching) decides the special case and
+checks that a certificate's blocks embed injectively.
 """
 
 from __future__ import annotations
@@ -34,8 +38,7 @@ class IntersectionGraph:
     """Bipartite graph on chromosome pairs: entry (i, j) holds the size of the
     non-empty intersection of left chromosome i with right chromosome j
     (0-based), in (i, j) order; a pair that shares no gene is absent and
-    weighs 0.  The intersections themselves are not kept: a route builds the
-    few blocks it answers with from the chromosomes."""
+    weighs 0.  The intersections themselves are not kept."""
 
     left_size: int
     right_size: int
@@ -82,7 +85,8 @@ def build_intersection_graph(g1: SetGenome, g2: SetGenome) -> IntersectionGraph:
 
 def max_weight_bipartite_matching(graph: IntersectionGraph) -> Matching:
     """Matching of maximum total intersection size (assignment-problem solver).
-    numpy and scipy.optimize load on the first call, not with the package."""
+    numpy and scipy.optimize load on the first call, not with the package.
+    No route calls it: zed_set_matching decides without weights."""
     if graph.left_size == 0 or graph.right_size == 0:
         return Matching(frozenset(), 0)
     import numpy as np
@@ -102,8 +106,11 @@ def max_weight_bipartite_matching(graph: IntersectionGraph) -> Matching:
 def zed_set_matching(g1: SetGenome, g2: SetGenome) -> SetDecision:
     """Polynomial decision in the per-gene special case: the distance is zero
     iff a maximum-weight matching of chromosome intersections covers every
-    gene, i.e. its weight equals the ground-set size.  A family mismatch
-    answers NO."""
+    gene, i.e. its weight equals the ground-set size.  It is decided without
+    weights, by Hopcroft-Karp over covering chromosome pairs
+    (_matching_decision), with no k1 x k2 structure.  A YES carries its
+    matching, of weight the ground-set size; a NO, and a family mismatch,
+    carry none."""
     cls = classify_instance(g1, g2)
     if cls is InstanceClass.GENERAL:
         raise PreconditionViolatedError(
@@ -113,17 +120,68 @@ def zed_set_matching(g1: SetGenome, g2: SetGenome) -> SetDecision:
 
 
 def _matching_decision(g1: SetGenome, g2: SetGenome, cls: InstanceClass) -> SetDecision:
-    """zed_set_matching on a pair already classified as cls (not GENERAL)."""
+    """zed_set_matching on a pair already classified as cls (not GENERAL),
+    decided by a cardinality matching over covering pairs, with no weights.
+
+    Let S_i = c1[i] - g1.duplicated and T_j = c2[j] - g2.duplicated: the genes
+    that chromosome i of g1, or j of g2, holds as its genome's only copy.  No
+    gene is duplicated in both genomes, so every gene lies in some S_i or T_j,
+    a matching counts each gene at most once, and its weight is |U| iff it
+    covers every gene.  A gene of S_i is covered only by (i, M(i)), so M
+    covers every gene iff each i with S_i non-empty is matched to a j with
+    S_i <= c2[j], and each j with T_j non-empty to an i with T_j <= c1[i].
+    Call (i, j) covering when S_i <= c2[j], T_j <= c1[i] and S_i or T_j is
+    non-empty (a pair with both empty shares no gene, or the pair would be
+    GENERAL), and call a chromosome needy when its S_i or T_j is non-empty.
+    The answer is YES iff some matching of covering pairs saturates every
+    needy chromosome on both sides.
+
+    That is one row-covering matching on a mirrored graph: the rows are the
+    k1 left chromosomes, then a mirror of the k2 right ones; the columns are
+    the k2 right chromosomes, then a mirror of the k1 left ones.  Left row i
+    takes its covering j, then its own mirror column k2 + i if it is not
+    needy; mirror row k1 + j takes the mirror columns k2 + i of its covering
+    i, then column j if it is not needy.  Every column is then matched too,
+    and a needy j's column only by a covering left row.  The certificate is
+    c1[i] & c2[j] over the left rows i matched to a column j < k2.
+
+    Every covering partner of a needy chromosome holds any one of its
+    single-copy genes, so its candidates are that gene's hosts in the other
+    genome, kept when both subset tests pass; a chromosome that is not needy
+    gets its partners from the needy ones on the other side.  A NO carries
+    no witness."""
     if cls is InstanceClass.FAMILY_MISMATCH:
         return SetDecision(False)
-    matching = max_weight_bipartite_matching(build_intersection_graph(g1, g2))
-    # both genomes hold the same families, as cls is no FAMILY_MISMATCH
-    if matching.total_weight != len(g1.ground_set):
-        return SetDecision(False, witness_matching=matching)
-    # only the matched blocks are built; they intersect checked chromosomes
     c1, c2 = g1.chromosomes, g2.chromosomes
-    cert = SetGenome._trusted(tuple(c1[i] & c2[j] for i, j in sorted(matching.pairs)))
-    return SetDecision(True, cert, witness_matching=matching)
+    k1, k2 = len(c1), len(c2)
+    once1 = [c - g1.duplicated for c in c1]
+    once2 = [c - g2.duplicated for c in c2]
+    h1, h2 = g1.hosts, g2.hosts
+    partners: list[list[int]] = [[] for _ in c1]  # the covering j of each i, ascending
+    for i, s in enumerate(once1):
+        if s:
+            ci = c1[i]
+            partners[i] = [j for j in h2[next(iter(s))] if s <= c2[j] and once2[j] <= ci]
+    for j, t in enumerate(once2):
+        if t:
+            for i in h1[next(iter(t))]:
+                if not once1[i] and t <= c1[i]:
+                    partners[i].append(j)
+    mirror: list[list[int]] = [[] for _ in c2]
+    for i, js in enumerate(partners):
+        for j in js:
+            mirror[j].append(k2 + i)
+    rows = [js if s else [*js, k2 + i] for i, (s, js) in enumerate(zip(once1, partners))]
+    rows += (m if t else [*m, j] for j, (t, m) in enumerate(zip(once2, mirror)))
+    match = _row_covering_matching(rows, k2 + k1)
+    if match is None:
+        return SetDecision(False)
+    pairs = sorted((i, j) for j, i in enumerate(match[:k2]) if i < k1)
+    # only the matched blocks are built; they intersect checked chromosomes
+    cert = SetGenome._trusted(tuple(c1[i] & c2[j] for i, j in pairs))
+    # the blocks partition the ground set, which both genomes share (cls is
+    # no FAMILY_MISMATCH), so the matching weighs |U|
+    return SetDecision(True, cert, witness_matching=Matching(frozenset(pairs), len(g1.ground_set)))
 
 
 def zed_set_fpt(
@@ -134,25 +192,28 @@ def zed_set_fpt(
     chromosomes), scan all k! pairings of chromosomes for one whose
     intersections cover every gene.  The witness is the lexicographically
     smallest covering permutation; the certificate keeps each gene only in its
-    lowest-index covering pair, so it is a partition.  The table of
-    intersection bitmasks is filled from the two genomes' gene -> chromosome
-    indexes, and only the witness pairing's blocks are built.  Genomes over
-    different gene sets answer NO at once.  Raises SearchTimeoutError (not a
-    NO answer) once timeout_s seconds have passed, ValueError when timeout_s
-    is NaN."""
+    lowest-index covering pair, so it is a partition.  The bitmasks of the
+    non-empty intersections are filled from the two genomes' gene ->
+    chromosome indexes, and only the witness pairing's blocks are built.
+    Genomes over different gene sets answer NO at once.  Raises
+    SearchTimeoutError (not a NO answer) once timeout_s seconds have passed,
+    ValueError when timeout_s is NaN."""
     stop = deadline(timeout_s)
     if g1.ground_set != g2.ground_set:
         return SetDecision(False)
     k = max(len(g1.chromosomes), len(g2.chromosomes))
     universe = sorted(g1.ground_set)
-    inter = [[0] * k for _ in range(k)]  # bitmask of each intersection over universe
+    # the bitmask over universe of each non-empty intersection, row by row:
+    # a dense k x k table would outgrow memory long before the scan's budget
+    inter: list[dict[int, int]] = [{} for _ in range(k)]
     h1, h2 = g1.hosts, g2.hosts
     for x, f in enumerate(universe):
         bit = 1 << x
         for i in h1[f]:
             row = inter[i]
             for j in h2[f]:
-                row[j] |= bit
+                row[j] = row.get(j, 0) | bit
+    mask = [row.get for row in inter]
     full = (1 << len(universe)) - 1
     scan = itertools.permutations(range(k))
     # the clock is read once per batch of 4096 pairings: a read per pairing,
@@ -163,7 +224,7 @@ def zed_set_fpt(
         for perm in itertools.islice(scan, 4096):
             acc = 0
             for i in range(k):
-                acc |= inter[i][perm[i]]
+                acc |= mask[i](perm[i], 0)
             if acc == full:
                 # the shorter genome is padded by empty chromosomes
                 pad = (frozenset(),) * k
@@ -306,9 +367,11 @@ def solve_set(
     return route, zed_set_exact(g1, g2, timeout_s=timeout_s)
 
 
-def _covers_every_row(adj: list[list[int]], n_cols: int) -> bool:
-    """Whether some matching of the bipartite graph in which row r is joined
-    to the columns adj[r] (each below n_cols) covers every row.
+def _row_covering_matching(adj: list[list[int]], n_cols: int) -> list[int] | None:
+    """A matching of the bipartite graph in which row r is joined to the
+    columns adj[r] (each below n_cols) that covers every row, as the row of
+    each column (-1 for a free one); None when no matching covers every row.
+    With no columns the matching is [], which is falsy: test it against None.
 
     Hopcroft-Karp (1973) from a greedy start: each row first takes its first
     free column; then each phase layers the rows by BFS from the free ones,
@@ -325,7 +388,7 @@ def _covers_every_row(adj: list[list[int]], n_cols: int) -> bool:
                 break
         else:
             if not cols:
-                return False
+                return None
             free.append(r)
     while free:
         layer = [-1] * len(adj)  # -1: not in this phase's layers, or dead
@@ -345,7 +408,7 @@ def _covers_every_row(adj: list[list[int]], n_cols: int) -> bool:
                         below.append(r2)
             frontier = below
         if not reached:
-            return False  # the matching is maximum and leaves a row free
+            return None  # the matching is maximum and leaves a row free
         scanned, unmatched = [0] * len(adj), []
         for root in free:
             path, via = [root], []  # via[t]: the column path[t] steps through
@@ -377,7 +440,7 @@ def _covers_every_row(adj: list[list[int]], n_cols: int) -> bool:
             else:
                 unmatched.append(root)
         free = unmatched
-    return True
+    return match_col
 
 
 def _embeds_injectively(blocks: tuple[frozenset[int], ...], genome: SetGenome) -> bool:
@@ -388,7 +451,8 @@ def _embeds_injectively(blocks: tuple[frozenset[int], ...], genome: SetGenome) -
     (the first gene with the fewest hosts, read off the gene -> chromosome
     index; the scan stops at a gene with one host) that also pass the subset
     test; the blocks embed iff a matching covers every non-empty block
-    (_covers_every_row) and enough hosts are left over for the empty ones."""
+    (_row_covering_matching) and enough hosts are left over for the empty
+    ones."""
     chromosomes = genome.chromosomes
     if len(blocks) > len(chromosomes):
         return False
@@ -405,7 +469,7 @@ def _embeds_injectively(blocks: tuple[frozenset[int], ...], genome: SetGenome) -
                 if not rare or len(held) < len(rare):
                     rare = held
             adj.append([h for h in rare if b <= chromosomes[h]])
-    return _covers_every_row(adj, len(chromosomes))
+    return _row_covering_matching(adj, len(chromosomes)) is not None
 
 
 def verify_set_certificate(g1: SetGenome, g2: SetGenome, cert: SetGenome) -> CertificateCheck:

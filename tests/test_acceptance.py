@@ -45,7 +45,7 @@ from zedkit import (
     zed_set_fpt,
     zed_set_matching,
 )
-from zedkit.cli import main
+from zedkit.cli import _planted_set_pair, main
 from zedkit.formats import (
     BAD_HEADER,
     CLAUSE_COUNT_MISMATCH,
@@ -358,3 +358,20 @@ def test_criterion_13_special_lcs_sparse():
     assert not dec.answer
     assert peak_mb < 32.0
     report(13, f"special LCS on 6000 families answers NO, peak {peak_mb:.1f} MB")
+
+
+def test_criterion_14_set_special_matching_memory():
+    # 40 000 genes in 4000 planted blocks: a dense k1 x k2 assignment
+    # matrix alone takes 128 MB here; the route's matching runs over the
+    # covering pairs, and the peak includes both genomes' gene indexes
+    g1, g2 = _planted_set_pair(4000)
+    tracemalloc.start()
+    try:
+        dec = zed_set_matching(g1, g2)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert dec.answer
+    assert verify_set_certificate(g1, g2, dec.certificate).ok
+    assert peak_mb < 32.0
+    report(14, f"set special matching at k=4000 answers YES, peak {peak_mb:.1f} MB")

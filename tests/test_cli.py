@@ -321,9 +321,36 @@ assert not loaded, loaded
 
 
 def test_reductions_run_without_loading_numpy_or_scipy():
-    # only the dense LCS table, the assignment and the seeded generators
-    # load the numeric libraries, on first use
+    # only the dense LCS table and the seeded generators load the numeric
+    # libraries, on first use
     proc = _fresh_interpreter("-c", _REDUCTIONS_WITHOUT_NUMERIC_LIBRARIES)
+    assert proc.returncode == 0, proc.stderr
+
+
+_SET_SPECIAL_WITHOUT_NUMERIC_LIBRARIES = """
+import sys
+import zedkit.cli
+from zedkit import SetDecision, SetGenome, solve_set, verify_set_certificate
+
+g1, g2 = SetGenome.of({1, 2}, {3}), SetGenome.of({1, 2, 3}, {3, 1})
+route, dec = solve_set(g1, g2)
+assert route == "matching" and verify_set_certificate(g1, g2, dec.certificate).ok
+assert solve_set(SetGenome.of({1}, {2}, {2, 3}), SetGenome.of({1, 2}, {3})) == ("matching", SetDecision(False))
+yes, no = sys.argv[1:]
+assert zedkit.cli.main(["solve-set", yes, yes]) == 0
+assert zedkit.cli.main(["solve-set", yes, no]) == 1
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+assert not loaded, loaded
+"""
+
+
+def test_set_special_route_runs_without_loading_numpy_or_scipy(tmp_path):
+    # the matching route, called and through `zed solve-set`, on a YES and a
+    # NO pair: no solve-set route loads the numeric libraries
+    yes, no = tmp_path / "yes.set", tmp_path / "no.set"
+    yes.write_text("1 2\n3\n")
+    no.write_text("1\n2 3\n3\n")
+    proc = _fresh_interpreter("-c", _SET_SPECIAL_WITHOUT_NUMERIC_LIBRARIES, str(yes), str(no))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -117,10 +117,34 @@ def test_zed_set_matching_identity_partition():
 
 
 def test_zed_set_matching_no_case():
-    # one chromosome cannot host two certificate blocks
+    # one chromosome cannot host two certificate blocks; a NO carries no witness
     dec = zed_set_matching(SetGenome.of({1}, {2}), SetGenome.of({1, 2}))
     assert not dec.answer
-    assert dec.witness_matching.total_weight == 1
+    assert dec.witness_matching is None
+
+
+def test_empty_genomes_match_and_verify():
+    # no chromosomes: the covering matching is the empty list, which is falsy
+    empty = SetGenome(())
+    dec = zed_set_matching(empty, empty)
+    assert dec.answer and dec.certificate == empty
+    assert verify_set_certificate(empty, empty, empty).ok
+    padded = SetGenome((frozenset(),) * 2)
+    assert zed_set_matching(padded, empty).certificate == empty
+
+
+# g1 = {1, 2}, {3, 4} holds every gene once; in g2 only {1, 2, 3, 4} holds
+# either pair, so the two left chromosomes compete for it while no right
+# chromosome holds a single-copy gene.  The mirror pair needs the right side
+# saturated in the same way.
+_LEFT_ONLY_NO = (SetGenome.of({1, 2}, {3, 4}), SetGenome.of({1, 2, 3, 4}, {1}, {2}, {3}, {4}))
+
+
+@pytest.mark.parametrize("g1, g2", [_LEFT_ONLY_NO, _LEFT_ONLY_NO[::-1]], ids=["left", "right"])
+def test_zed_set_matching_needs_each_side_saturated(g1, g2):
+    assert classify_instance(g1, g2) is InstanceClass.ONE_SIDE_DUPLICATE_FREE
+    assert not zed_set_matching(g1, g2).answer
+    assert not zed_set_exact(g1, g2).answer
 
 
 def test_zed_set_matching_disjoint_blocks_may_share_nothing():
@@ -257,6 +281,31 @@ def test_three_way_agreement_on_special_instances(seed):
         blocks = oracles.chromosome_intersections(g1.chromosomes, g2.chromosomes)
         assert a.certificate.chromosomes == tuple(
             blocks[p] for p in sorted(a.witness_matching.pairs))
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_matching_decides_the_weighted_definition(seed):
+    # the paper's definition, computed apart from the package: the largest
+    # total intersection size of a chromosome matching reaches |U|
+    rng = SplitMix64(7000 + seed)
+    g1, g2 = random_set_pair(
+        rng.next64(), 1 + rng.randint(0, 9), 1 + rng.randint(0, 4),
+        max_occ=1 + rng.randint(0, 2), special=True,
+    )
+    g1, g2 = _with_empty_chromosomes(rng, g1), _with_empty_chromosomes(rng, g2)
+    blocks = oracles.chromosome_intersections(g1.chromosomes, g2.chromosomes)
+    weights = [[len(blocks.get((i, j), ())) for j in range(len(g2))] for i in range(len(g1))]
+    dec = zed_set_matching(g1, g2)
+    assert dec.answer == (oracles.best_matching_weight(weights) == len(g1.ground_set))
+    if dec.answer:
+        pairs = sorted(dec.witness_matching.pairs)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        cover = [blocks[p] for p in pairs]
+        assert sum(map(len, cover)) == len(g1.ground_set) == len(frozenset().union(*cover))
+        assert dec.certificate.chromosomes == tuple(cover)
+        assert dec.witness_matching.total_weight == len(g1.ground_set)
+    else:
+        assert dec.witness_matching is None
 
 
 @pytest.mark.parametrize("seed", range(80))
